@@ -2,7 +2,6 @@
 //! offline, so no clap — the same hand-rolled style as `repro`).
 
 use rebalance_coresim::FetchModelKind;
-use rebalance_trace::BackendChoice;
 use rebalance_workloads::{Scale, Suite};
 
 /// Accumulates positional arguments and recognized flags; rejects
@@ -28,9 +27,6 @@ pub struct Parsed {
     /// `--batch-size N` (events per delivery block; default
     /// [`rebalance_trace::DEFAULT_BATCH_CAPACITY`]).
     pub batch_size: Option<usize>,
-    /// `--backend {auto,scalar,wide}` (compute backend for the replay
-    /// hot path; default adapts per replay by trace size).
-    pub backend: Option<BackendChoice>,
     /// `--model {penalty,ftq}` (CPI timing backend).
     pub model: Option<FetchModelKind>,
     /// `--sample N` (slice each replay into N intervals and replay one
@@ -39,9 +35,6 @@ pub struct Parsed {
     /// `--sample-k K` (number of phase clusters; implies `--sample`
     /// with the default interval count when given alone).
     pub sample_k: Option<usize>,
-    /// `--workers N` (shard the sweep across N worker subprocesses
-    /// sharing the on-disk trace cache).
-    pub workers: Option<usize>,
     /// `--metrics [text|json[=PATH]]` (collect and emit the telemetry
     /// snapshot after the report; bare `--metrics` means `text`).
     pub metrics: Option<MetricsMode>,
@@ -108,12 +101,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
                     })?;
                 parsed.batch_size = Some(n);
             }
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a value")?;
-                parsed.backend = Some(BackendChoice::parse(v).ok_or_else(|| {
-                    format!("unknown backend `{v}` (expected: auto scalar wide)")
-                })?);
-            }
             "--model" => {
                 let v = it.next().ok_or("--model needs a value")?;
                 parsed.model = Some(
@@ -137,15 +124,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
                         .ok()
                         .filter(|&n: &usize| n >= 1)
                         .ok_or_else(|| format!("invalid cluster count `{v}` (expected >= 1)"))?,
-                );
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a count")?;
-                parsed.workers = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &usize| (1..=256).contains(&n))
-                        .ok_or_else(|| format!("invalid worker count `{v}` (expected 1..=256)"))?,
                 );
             }
             "--metrics" => {
@@ -246,11 +224,10 @@ pub fn configure_cache_env(parsed: &Parsed) {
     }
 }
 
-/// Applies the replay hot-path knobs: `--batch-size` through the
+/// Applies the replay hot-path knob `--batch-size` through the
 /// explicit capacity setter (which takes precedence over
 /// `REBALANCE_BATCH` and turns a too-late conflicting set into a clean
-/// error instead of a silently ignored flag) and `--backend` through
-/// the process-wide compute-backend override. Must run early in each
+/// error instead of a silently ignored flag). Must run early in each
 /// subcommand, before the first replay.
 ///
 /// # Errors
@@ -259,9 +236,6 @@ pub fn configure_cache_env(parsed: &Parsed) {
 pub fn configure_replay(parsed: &Parsed) -> Result<(), String> {
     if let Some(n) = parsed.batch_size {
         rebalance_trace::set_batch_capacity(n).map_err(|e| format!("--batch-size: {e}"))?;
-    }
-    if let Some(choice) = parsed.backend {
-        rebalance_trace::set_compute_backend(choice);
     }
     Ok(())
 }
@@ -375,23 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_backend() {
-        use rebalance_trace::ComputeBackend;
-        let p = parse(&argv(&["--backend", "wide"])).unwrap();
-        assert_eq!(p.backend, Some(BackendChoice::Forced(ComputeBackend::Wide)));
-        let p = parse(&argv(&["--backend", "scalar"])).unwrap();
-        assert_eq!(
-            p.backend,
-            Some(BackendChoice::Forced(ComputeBackend::Scalar))
-        );
-        let p = parse(&argv(&["--backend", "auto"])).unwrap();
-        assert_eq!(p.backend, Some(BackendChoice::Auto));
-        assert_eq!(parse(&argv(&[])).unwrap().backend, None);
-        assert!(parse(&argv(&["--backend"])).is_err());
-        assert!(parse(&argv(&["--backend", "simd"])).is_err());
-    }
-
-    #[test]
     fn parses_sampling_knobs() {
         let p = parse(&argv(&["--sample", "40", "--sample-k", "4"])).unwrap();
         assert_eq!(p.sample, Some(40));
@@ -411,17 +368,6 @@ mod tests {
         assert!(parse(&argv(&["--sample"])).is_err());
         assert!(parse(&argv(&["--sample", "0"])).is_err());
         assert!(parse(&argv(&["--sample-k", "none"])).is_err());
-    }
-
-    #[test]
-    fn parses_workers() {
-        let p = parse(&argv(&["--workers", "4"])).unwrap();
-        assert_eq!(p.workers, Some(4));
-        assert_eq!(parse(&argv(&[])).unwrap().workers, None);
-        assert!(parse(&argv(&["--workers"])).is_err());
-        assert!(parse(&argv(&["--workers", "0"])).is_err());
-        assert!(parse(&argv(&["--workers", "257"])).is_err());
-        assert!(parse(&argv(&["--workers", "some"])).is_err());
     }
 
     #[test]

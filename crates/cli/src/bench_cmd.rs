@@ -1,30 +1,26 @@
-//! `rebalance bench` — replay-throughput measurement per compute
-//! backend, the CLI mirror of the `warm_replay_six_workloads` criterion
-//! group plus a sampled-sweep row.
+//! `rebalance bench` — replay-throughput measurement, the CLI mirror
+//! of the `warm_replay_six_workloads` criterion group plus a
+//! sampled-sweep row.
 //!
-//! Three measurements, all over pre-validated in-memory snapshots so
+//! Four measurements, all over pre-validated in-memory snapshots so
 //! the timed region is purely the delivery spine and the tools:
 //!
-//! * **warm sweep** — the nine-predictor fan-out replayed per event,
-//!   batched-scalar (AoS event structs), and batched-wide (SoA lanes);
-//!   dominated by TAGE table compute both sides pay, so the delivery
-//!   win shows as a modest ratio here,
+//! * **warm sweep** — the nine-predictor fan-out replayed per event
+//!   and batched; dominated by TAGE table compute both sides pay, so
+//!   the delivery win shows as a modest ratio here,
 //! * **pintools** — the branch-profiling fan-out (mix, direction,
 //!   bias) composed dynamically as `ToolSet<Box<dyn Pintool>>`, the
 //!   delivery-bound case: batched delivery pays the virtual
 //!   transitions once per block and walks only the dense branch
 //!   subset, while per-event delivery pays three virtual calls on
 //!   every instruction,
-//! * **sampled sweep** — phase-sampled replay per backend, reported as
-//!   both delivered and effective (full-trace-equivalent) throughput,
-//! * **sharded sweep** — the `--workers N` coordinator end to end
-//!   (spawn + shard replay + merge) at 1, 2, and 4 workers against a
-//!   warm scratch cache, so the subprocess fan-out's scaling is on
-//!   record next to the single-process numbers,
-//! * **telemetry** — the warm batched sweep timed with telemetry
-//!   collection off and on (min-of-passes), the measured overhead
-//!   percentage, and the per-stage span breakdown from the enabled
-//!   passes. The bench *fails* if enabled-mode overhead exceeds
+//! * **sampled sweep** — phase-sampled replay, reported as both
+//!   delivered and effective (full-trace-equivalent) throughput,
+//! * **telemetry** — the warm batched sweep timed in interleaved
+//!   collection-off/on pairs whose sides each run for at least
+//!   [`MIN_PASS`], the median and upper confidence bound of the paired
+//!   overhead, and the per-stage span breakdown from the enabled
+//!   runs. The bench *fails* if the upper bound exceeds
 //!   [`TELEMETRY_OVERHEAD_BUDGET_PCT`], which bounds disabled-mode
 //!   overhead too (disabled spans are strictly cheaper: one atomic
 //!   load, no clock read).
@@ -40,10 +36,7 @@ use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::PredictorChoice;
 use rebalance_pintools::{BbvTool, BranchBiasTool, BranchMixTool, DirectionTool};
 use rebalance_telemetry::{self as telemetry, SpanNode};
-use rebalance_trace::{
-    batch_capacity, compute_backend_choice, set_compute_backend, snapshot, BackendChoice,
-    ComputeBackend, NullTool, Pintool, SamplePlan, Snapshot, ToolSet,
-};
+use rebalance_trace::{batch_capacity, snapshot, NullTool, Pintool, SamplePlan, Snapshot, ToolSet};
 use serde::Serialize;
 
 use crate::args;
@@ -59,9 +52,19 @@ const MIN_MEASURE: Duration = Duration::from_millis(300);
 /// Iteration cap so tiny traces do not spin for thousands of passes.
 const MAX_ITERS: u32 = 200;
 
-/// Hard ceiling on the telemetry group's measured enabled-mode
-/// overhead; the bench errors beyond it.
+/// Hard ceiling on the upper confidence bound of the telemetry
+/// group's enabled-mode overhead; the bench errors beyond it.
 const TELEMETRY_OVERHEAD_BUDGET_PCT: f64 = 2.0;
+
+/// Minimum timed wall time per side of one telemetry pair: shorter
+/// passes let scheduler noise swamp a 2% effect.
+const MIN_PASS: Duration = Duration::from_millis(100);
+
+/// Interleaved collection-off/on pairs the telemetry group times.
+const TELEMETRY_PAIRS: usize = 21;
+
+/// One-sided confidence of the telemetry group's upper bound.
+const TELEMETRY_CONFIDENCE: f64 = 0.95;
 
 /// The whole dump, `BENCH_replay.json`.
 #[derive(Debug, Serialize)]
@@ -76,10 +79,8 @@ struct BenchJson {
     /// Branch-profiling pintool fan-out (mix + direction + bias),
     /// dynamically composed — the delivery-bound sweep shape.
     pintools: Vec<ModeRow>,
-    /// Phase-sampled replay per backend.
-    sampled_sweep: Vec<SampledRow>,
-    /// `--workers N` coordinator end-to-end, warm scratch cache.
-    sharded_sweep: Vec<ShardedRow>,
+    /// Phase-sampled batched replay.
+    sampled_sweep: SampledRow,
     /// Telemetry on/off timing plus the per-stage span breakdown.
     telemetry: TelemetryJson,
 }
@@ -101,50 +102,49 @@ struct ModeRow {
     speedup_vs_per_event: f64,
 }
 
-/// One backend's sampled-replay throughput. `delivered` counts only
-/// events handed to the tools; `effective` credits the full trace the
-/// sampled totals reproduce.
+/// Sampled-replay throughput. `delivered` counts only events handed to
+/// the tools; `effective` credits the full trace the sampled totals
+/// reproduce.
 #[derive(Debug, Serialize)]
 struct SampledRow {
-    backend: String,
     delivered_fraction: f64,
     delivered_melem_per_s: f64,
     effective_melem_per_s: f64,
 }
 
-/// One worker count's end-to-end sharded-sweep throughput (subprocess
-/// spawn, shard replay against a warm scratch cache, and merge all
-/// included in the timed region).
-#[derive(Debug, Serialize)]
-struct ShardedRow {
-    workers: usize,
-    melem_per_s: f64,
-    speedup_vs_one: f64,
-}
-
 /// The telemetry group: the warm batched nine-predictor sweep timed
-/// with collection off and on, and where the enabled passes' time
-/// went, stage by stage.
+/// in interleaved collection-off/on pairs, and where the enabled
+/// runs' time went, stage by stage.
 #[derive(Debug, Serialize)]
 struct TelemetryJson {
-    /// Compute backend the timed passes used (the auto choice for the
-    /// selection's size).
-    backend: String,
-    /// Min seconds per pass, collection off.
+    /// Off/on pairs timed.
+    pairs: usize,
+    /// Sweeps per side of each pair (enough for [`MIN_PASS`]).
+    sweeps_per_pass: u32,
+    /// Median seconds per sweep, collection off.
     disabled_secs: f64,
-    /// Min seconds per pass, collection on.
+    /// Median seconds per sweep, collection on.
     enabled_secs: f64,
-    /// `(enabled/disabled - 1) * 100`; negative values are measurement
-    /// noise. Must stay within [`TELEMETRY_OVERHEAD_BUDGET_PCT`].
+    /// Median over pairs of each pair's overhead percentage (see
+    /// `pair_overheads_pct`); negative values are measurement noise.
     overhead_pct: f64,
-    /// Every span path recorded by the enabled passes, depth-first.
+    /// Distribution-free upper confidence bound on that median, at
+    /// `confidence`. Must stay within
+    /// [`TELEMETRY_OVERHEAD_BUDGET_PCT`].
+    overhead_ucb_pct: f64,
+    /// One-sided confidence of `overhead_ucb_pct`.
+    confidence: f64,
+    /// Every pair's overhead: the median over its adjacent off/on runs
+    /// of `(enabled/disabled - 1) * 100`, in run order.
+    pair_overheads_pct: Vec<f64>,
+    /// Every span path recorded by the enabled runs, depth-first.
     breakdown: Vec<BreakdownRow>,
 }
 
 /// One span path of the telemetry breakdown.
 #[derive(Debug, Serialize)]
 struct BreakdownRow {
-    /// Dot-joined path from the root, e.g. `decode.batch.wide.tools`.
+    /// Dot-joined path from the root, e.g. `decode.batch.tools`.
     span: String,
     /// Inclusive milliseconds across all passes.
     total_ms: f64,
@@ -213,47 +213,84 @@ fn measure<T>(mut setup: impl FnMut() -> T, mut routine: impl FnMut(&mut T)) -> 
     total.as_secs_f64() / f64::from(iters)
 }
 
-/// Like [`measure`], but returns the *minimum* pass time: the right
-/// statistic for an A/B overhead comparison, where any single pass's
-/// slowdown is scheduler noise, not the code under test.
-fn measure_min<T>(mut setup: impl FnMut() -> T, mut routine: impl FnMut(&mut T)) -> f64 {
-    let mut warm = setup();
-    routine(&mut warm);
-    let mut total = Duration::ZERO;
-    let mut iters = 0u32;
-    let mut best = f64::INFINITY;
-    while (total < MIN_MEASURE || iters < 5) && iters < MAX_ITERS {
+/// One interleaved collection-off/on pair: `sweeps` timed runs of
+/// `routine` per side, alternating sides run by run (the side that
+/// goes first alternates with `pair`), each run over a fresh untimed
+/// `setup()` input. Returns the pair's overhead in percent — the median
+/// of `on/off - 1` over adjacent runs, which sit milliseconds apart, so
+/// host speed drift cancels — plus every run's seconds per side.
+fn telemetry_pair<T>(
+    pair: usize,
+    sweeps: u32,
+    setup: &mut impl FnMut() -> T,
+    routine: &mut impl FnMut(&mut T),
+) -> (f64, [Vec<f64>; 2]) {
+    let mut runs = [Vec::new(), Vec::new()];
+    for i in 0..2 * sweeps as usize {
+        let on = (i + pair) % 2 == 1;
+        telemetry::set_enabled(on);
         let mut input = setup();
         let start = Instant::now();
         routine(&mut input);
-        let elapsed = start.elapsed();
-        best = best.min(elapsed.as_secs_f64());
-        total += elapsed;
-        iters += 1;
+        runs[usize::from(on)].push(start.elapsed().as_secs_f64());
     }
-    best
+    let [off, on] = &runs;
+    let ratios: Vec<f64> = on.iter().zip(off).map(|(on, off)| on / off).collect();
+    ((median(&ratios) - 1.0) * 100.0, runs)
 }
 
-/// Replays every snapshot into `tool` under one delivery mode:
-/// `None` = per event, `Some(backend)` = batched with that backend.
-fn replay_all<T: Pintool>(snaps: &[Snapshot<'_>], tool: &mut [T], mode: Option<ComputeBackend>) {
+/// `P(X <= k)` for `X ~ Binomial(n, 1/2)`.
+fn binomial_half_cdf(n: usize, k: usize) -> f64 {
+    let mut term = 0.5f64.powi(n as i32); // P(X = 0)
+    let mut cdf = term;
+    for i in 1..=k.min(n) {
+        term *= (n - i + 1) as f64 / i as f64;
+        cdf += term;
+    }
+    cdf
+}
+
+/// Distribution-free upper confidence bound on the median of `samples`:
+/// the smallest order statistic `x_(r)` with
+/// `P(Binomial(n, 1/2) <= r - 1) >= confidence`, since the median
+/// exceeds `x_(r)` only if at most `r - 1` samples fall below it. Falls
+/// back to the maximum when `n` is too small for the confidence.
+fn median_upper_bound(samples: &[f64], confidence: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    let rank = (1..=n)
+        .find(|&r| binomial_half_cdf(n, r - 1) >= confidence)
+        .unwrap_or(n);
+    sorted[rank - 1]
+}
+
+/// The median of `samples` (mean of the middle two for even counts).
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+/// Replays every snapshot into `tool`, batched or per event.
+fn replay_all<T: Pintool>(snaps: &[Snapshot<'_>], tool: &mut [T], batched: bool) {
     for (snap, tool) in snaps.iter().zip(tool.iter_mut()) {
-        let result = match mode {
-            None => snap.replay_per_event(tool),
-            Some(backend) => snap.replay_batched_backend(tool, batch_capacity(), backend),
+        let result = if batched {
+            snap.replay(tool)
+        } else {
+            snap.replay_per_event(tool)
         };
         result.expect("validated snapshot replays");
     }
 }
 
-/// The three modes, with their display/JSON labels.
-fn modes() -> [(String, Option<ComputeBackend>); 3] {
-    [
-        ("per_event".to_owned(), None),
-        ("batched_scalar".to_owned(), Some(ComputeBackend::Scalar)),
-        ("batched_wide".to_owned(), Some(ComputeBackend::Wide)),
-    ]
-}
+/// The two delivery modes, with their display/JSON labels.
+const MODES: [(&str, bool); 2] = [("per_event", false), ("batched", true)];
 
 /// Seconds-per-pass for each mode → rows with per-event-relative
 /// speedups.
@@ -274,19 +311,10 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     args::forbid(&[
         (parsed.force, "--force"),
         (parsed.model.is_some(), "--model"),
-        // The bench pins each backend explicitly; a process-wide
-        // override would only make one of its own rows lie.
-        (
-            parsed.backend.is_some(),
-            "--backend (bench measures every backend)",
-        ),
         // Snapshots are encoded in memory; the on-disk cache never
         // participates.
         (parsed.cache_dir.is_some(), "--cache"),
         (parsed.no_cache, "--no-cache"),
-        // Sharding is measured by the bench itself (the sharded_sweep
-        // group), not applied to it.
-        (parsed.workers.is_some(), "--workers"),
     ])?;
     args::configure_replay(&parsed)?;
     args::configure_metrics(&parsed);
@@ -325,11 +353,11 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             .collect()
     };
 
-    let warm_secs: Vec<(String, f64)> = modes()
+    let warm_secs: Vec<(String, f64)> = MODES
         .into_iter()
-        .map(|(label, mode)| {
-            let s = measure(fresh_sims, |sims| replay_all(&snaps, sims, mode));
-            (label, s)
+        .map(|(label, batched)| {
+            let s = measure(fresh_sims, |sims| replay_all(&snaps, sims, batched));
+            (label.to_owned(), s)
         })
         .collect();
     let warm_sweep = mode_rows(&warm_secs, insts);
@@ -351,18 +379,18 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             })
             .collect()
     };
-    let pintool_secs: Vec<(String, f64)> = modes()
+    let pintool_secs: Vec<(String, f64)> = MODES
         .into_iter()
-        .map(|(label, mode)| {
-            let s = measure(fresh_pintools, |tools| replay_all(&snaps, tools, mode));
-            (label, s)
+        .map(|(label, batched)| {
+            let s = measure(fresh_pintools, |tools| replay_all(&snaps, tools, batched));
+            (label.to_owned(), s)
         })
         .collect();
     let pintools = mode_rows(&pintool_secs, insts);
 
     // Sampled sweep: one plan per snapshot (untimed — planning is a
     // per-roster one-off in real sweeps too), then replay only the
-    // weighted representatives, per backend.
+    // weighted representatives.
     let config = args::sampling_config(&parsed).unwrap_or_default();
     let plans: Vec<SamplePlan> = snaps
         .iter()
@@ -380,90 +408,63 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
                 .delivered_instructions
         })
         .sum();
-    let saved_choice = compute_backend_choice();
-    let sampled_sweep: Vec<SampledRow> = [ComputeBackend::Scalar, ComputeBackend::Wide]
-        .into_iter()
-        .map(|backend| {
-            set_compute_backend(BackendChoice::Forced(backend));
-            let secs = measure(fresh_sims, |sims| {
-                for ((snap, plan), set) in snaps.iter().zip(&plans).zip(sims.iter_mut()) {
-                    snap.replay_sampled(set, plan)
-                        .expect("validated snapshot replays");
-                }
-            });
-            SampledRow {
-                backend: backend.to_string(),
-                delivered_fraction: delivered as f64 / insts as f64,
-                delivered_melem_per_s: delivered as f64 / secs / 1e6,
-                effective_melem_per_s: insts as f64 / secs / 1e6,
-            }
-        })
-        .collect();
-    set_compute_backend(saved_choice);
-
-    // Sharded sweep: the `--workers N` coordinator end to end — spawn,
-    // shard replay, merge — against a scratch cache warmed by one
-    // untimed cold pass (so timed passes measure warm, hit-served
-    // shards, matching the other warm groups).
-    let scratch =
-        std::env::temp_dir().join(format!("rebalance-bench-shard-{}", std::process::id()));
-    let shard_parsed = args::Parsed {
-        positional: names.clone(),
-        scale: parsed.scale,
-        cache_dir: Some(scratch.to_string_lossy().into_owned()),
-        batch_size: parsed.batch_size,
-        ..args::Parsed::default()
-    };
-    let mut sharded_sweep = Vec::new();
-    let mut one_worker_secs = 0.0;
-    for workers in [1usize, 2, 4] {
-        let run = || crate::shard::sweep_sharded(&shard_parsed, &workloads, workers);
-        // Untimed warm-up; its merged report tells how many events one
-        // sharded pass delivers to the tools.
-        let (_, report) = run()?;
-        let delivered = report.lanes.map_or(insts, |l| l.instructions);
-        let secs = measure(|| (), |_: &mut ()| drop(run().expect("warm sharded sweep")));
-        if workers == 1 {
-            one_worker_secs = secs;
+    let secs = measure(fresh_sims, |sims| {
+        for ((snap, plan), set) in snaps.iter().zip(&plans).zip(sims.iter_mut()) {
+            snap.replay_sampled(set, plan)
+                .expect("validated snapshot replays");
         }
-        sharded_sweep.push(ShardedRow {
-            workers,
-            melem_per_s: delivered as f64 / secs / 1e6,
-            speedup_vs_one: one_worker_secs / secs,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
+    });
+    let sampled_sweep = SampledRow {
+        delivered_fraction: delivered as f64 / insts as f64,
+        delivered_melem_per_s: delivered as f64 / secs / 1e6,
+        effective_melem_per_s: insts as f64 / secs / 1e6,
+    };
 
-    // Telemetry overhead: the same warm batched sweep with collection
-    // off, then on, min-of-passes so the delta is instrumentation
-    // cost rather than scheduler noise. The enabled passes also feed
-    // the per-stage breakdown below.
-    let bench_backend = rebalance_trace::select_backend(insts);
+    // Telemetry overhead: the same warm batched sweep in interleaved
+    // collection-off/on pairs (see `telemetry_pair`), each side
+    // repeating the sweep until it has run at least `MIN_PASS`. The
+    // gate is the upper confidence bound on the median pair overhead,
+    // so a noisy host widens the bound instead of flipping the verdict
+    // at random. The enabled runs also feed the per-stage breakdown
+    // below.
     let was_enabled = telemetry::enabled();
     telemetry::set_enabled(false);
-    let disabled_secs = measure_min(fresh_sims, |sims| {
-        replay_all(&snaps, sims, Some(bench_backend))
-    });
+    let mut setup = fresh_sims;
+    let mut routine = |sims: &mut Vec<_>| replay_all(&snaps, sims, true);
+    let one_sweep = measure(&mut setup, &mut routine);
+    let sweeps_per_pass = (MIN_PASS.as_secs_f64() / one_sweep).ceil().max(1.0) as u32;
+    let mut overheads = Vec::with_capacity(TELEMETRY_PAIRS);
+    let (mut disabled, mut enabled) = (Vec::new(), Vec::new());
+    for pair in 0..TELEMETRY_PAIRS {
+        let (overhead, [off, on]) = telemetry_pair(pair, sweeps_per_pass, &mut setup, &mut routine);
+        overheads.push(overhead);
+        disabled.extend(off);
+        enabled.extend(on);
+    }
     telemetry::set_enabled(true);
-    let enabled_secs = measure_min(fresh_sims, |sims| {
-        replay_all(&snaps, sims, Some(bench_backend))
-    });
     let mut breakdown = Vec::new();
     flatten_spans(&telemetry::snapshot().spans, "", &mut breakdown);
     telemetry::set_enabled(was_enabled);
-    let overhead_pct = (enabled_secs / disabled_secs - 1.0) * 100.0;
-    if overhead_pct > TELEMETRY_OVERHEAD_BUDGET_PCT {
+    let overhead_pct = median(&overheads);
+    let overhead_ucb_pct = median_upper_bound(&overheads, TELEMETRY_CONFIDENCE);
+    let (disabled_secs, enabled_secs) = (median(&disabled), median(&enabled));
+    if overhead_ucb_pct > TELEMETRY_OVERHEAD_BUDGET_PCT {
         return Err(format!(
-            "telemetry overhead {overhead_pct:.2}% exceeds the \
-             {TELEMETRY_OVERHEAD_BUDGET_PCT}% budget \
-             (disabled {disabled_secs:.4}s vs enabled {enabled_secs:.4}s per pass)"
+            "telemetry overhead upper bound {overhead_ucb_pct:.2}% (median {overhead_pct:.2}%, \
+             {TELEMETRY_PAIRS} pairs) exceeds the {TELEMETRY_OVERHEAD_BUDGET_PCT}% budget \
+             (disabled {disabled_secs:.4}s vs enabled {enabled_secs:.4}s per sweep; \
+             per-pair overheads {overheads:.2?}%)"
         ));
     }
     let telemetry_group = TelemetryJson {
-        backend: bench_backend.to_string(),
+        pairs: TELEMETRY_PAIRS,
+        sweeps_per_pass,
         disabled_secs,
         enabled_secs,
         overhead_pct,
+        overhead_ucb_pct,
+        confidence: TELEMETRY_CONFIDENCE,
+        pair_overheads_pct: overheads,
         breakdown,
     };
 
@@ -476,7 +477,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         warm_sweep,
         pintools,
         sampled_sweep,
-        sharded_sweep,
         telemetry: telemetry_group,
     };
     let dir = parsed.json_dir.as_deref().unwrap_or(".");
@@ -496,22 +496,12 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             ]);
         }
     }
-    for r in &json.sampled_sweep {
-        t.row(vec![
-            "sampled_sweep".to_owned(),
-            format!("batched_{}", r.backend),
-            f2(r.delivered_melem_per_s),
-            format!("{} effective", f2(r.effective_melem_per_s)),
-        ]);
-    }
-    for r in &json.sharded_sweep {
-        t.row(vec![
-            "sharded_sweep".to_owned(),
-            format!("workers_{}", r.workers),
-            f2(r.melem_per_s),
-            format!("{}x vs workers_1", f2(r.speedup_vs_one)),
-        ]);
-    }
+    t.row(vec![
+        "sampled_sweep".to_owned(),
+        "batched".to_owned(),
+        f2(json.sampled_sweep.delivered_melem_per_s),
+        format!("{} effective", f2(json.sampled_sweep.effective_melem_per_s)),
+    ]);
     t.row(vec![
         "telemetry".to_owned(),
         "disabled".to_owned(),
@@ -522,7 +512,10 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         "telemetry".to_owned(),
         "enabled".to_owned(),
         f2(insts as f64 / json.telemetry.enabled_secs / 1e6),
-        format!("{:+.2}% overhead", json.telemetry.overhead_pct),
+        format!(
+            "{:+.2}% overhead (<= {:+.2}%)",
+            json.telemetry.overhead_pct, json.telemetry.overhead_ucb_pct
+        ),
     ]);
     crate::print_ignoring_pipe(&format!(
         "replay throughput ({} events over {} workload(s), scale {}, batch {})\n{}wrote {}/BENCH_replay.json\n",
@@ -535,4 +528,35 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     ));
     crate::metrics::emit(&parsed)?;
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn binomial_half_cdf_matches_closed_forms() {
+        assert_eq!(binomial_half_cdf(1, 0), 0.5);
+        assert_eq!(binomial_half_cdf(2, 1), 0.75);
+        assert!((binomial_half_cdf(11, 11) - 1.0).abs() < 1e-12);
+        // P(Binomial(11, 1/2) <= 8) = 1981 / 2048.
+        assert!((binomial_half_cdf(11, 8) - 1981.0 / 2048.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn median_upper_bound_picks_the_confidence_order_statistic() {
+        // 11 pairs at 95%: P(X <= 7) = 0.887 falls short, P(X <= 8) =
+        // 0.967 clears it, so the bound is the 9th smallest sample.
+        let samples: Vec<f64> = (1..=11).rev().map(f64::from).collect();
+        assert_eq!(median_upper_bound(&samples, 0.95), 9.0);
+        assert_eq!(median(&samples), 6.0);
+        // Two outliers above the bound do not move it.
+        let mut noisy = samples.clone();
+        noisy[0] = 1e9;
+        noisy[1] = 1e9;
+        assert_eq!(median_upper_bound(&noisy, 0.95), 9.0);
+        // Too few samples for the confidence: fall back to the maximum.
+        assert_eq!(median_upper_bound(&[1.0, 3.0, 2.0], 0.95), 3.0);
+        assert_eq!(median(&[1.0, 3.0, 2.0, 4.0]), 2.5);
+    }
 }

@@ -1,10 +1,10 @@
-//! End-to-end telemetry merge law: with metrics enabled, a sharded
-//! `sweep --workers 2` must report the same machine-independent
-//! counters as the single-process run (timing counters and span
-//! durations are machine-dependent, so spans are compared
-//! structurally — same paths, same completion counts), and both
-//! snapshots must satisfy the attribution invariant (a span's
-//! children never account for more time than the span itself).
+//! End-to-end telemetry of one `rebalance` process: with metrics
+//! enabled, `metrics.json` satisfies the attribution invariant (a
+//! span's children never account for more time than the span itself),
+//! and two identical runs report the same machine-independent counters
+//! and the same replay span structure (timing counters and span
+//! durations are machine-dependent, so spans are compared structurally
+//! — same paths, same completion counts).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -14,8 +14,8 @@ use serde::Value;
 
 const BIN: &str = env!("CARGO_BIN_EXE_rebalance");
 
-/// Workloads under test: enough items that `--workers 2` produces
-/// uneven shards, small enough to stay quick at smoke scale.
+/// Workloads under test: several items so replays spread over the
+/// executor's threads, small enough to stay quick at smoke scale.
 const WORKLOADS: &str = "CG,FT,MG";
 
 fn scratch(tag: &str) -> PathBuf {
@@ -31,14 +31,13 @@ fn scratch(tag: &str) -> PathBuf {
 fn run(args: &[&str]) -> String {
     let out = Command::new(BIN)
         .args(args)
-        // Pin cache and backend per invocation — overrides inherited
-        // from the harness environment must not leak into either side
-        // of the comparison. REBALANCE_BATCH and REBALANCE_METRICS are
-        // deliberately passed through: CI reruns this test at both
-        // batch-size extremes with the env latch set, and the merge
-        // law must hold under all of them.
+        // Pin the cache per invocation — an override inherited from
+        // the harness environment must not leak into either run.
+        // REBALANCE_BATCH and REBALANCE_METRICS are deliberately passed
+        // through: CI reruns this test at both batch-size extremes with
+        // the env latch set, and the checks must hold under all of
+        // them.
         .env_remove("REBALANCE_TRACE_CACHE")
-        .env_remove("REBALANCE_BACKEND")
         .output()
         .expect("spawn rebalance");
     assert!(
@@ -63,8 +62,8 @@ fn map<'a>(v: &'a Value, key: &str) -> &'a [(String, Value)] {
 }
 
 /// Counter values, machine-dependent duration counters excluded: the
-/// `_ns` suffix marks wall-clock sums, which legitimately differ
-/// between a single process and two workers.
+/// `_ns` suffix marks wall-clock sums, which legitimately differ from
+/// run to run.
 fn stable_counters(v: &Value) -> BTreeMap<String, u64> {
     map(v, "counters")
         .iter()
@@ -76,8 +75,8 @@ fn stable_counters(v: &Value) -> BTreeMap<String, u64> {
 /// Collects every `replay` subtree in the span forest (replays run on
 /// pool threads, so their roots may sit at any depth relative to the
 /// command span) and folds them into one path → completion-count map.
-/// Durations are deliberately dropped: the merge law for timings is
-/// structural, not value-level.
+/// Durations are deliberately dropped: timings compare structurally,
+/// not by value.
 fn replay_span_counts(v: &Value) -> BTreeMap<String, u64> {
     fn fold(path: &str, node: &Value, out: &mut BTreeMap<String, u64>) {
         let count = node
@@ -133,12 +132,12 @@ fn check_attribution(path: &str, node: &Value) {
 }
 
 #[test]
-fn sharded_sweep_metrics_match_single_process() {
+fn repeated_sweeps_report_stable_metrics() {
     let cache = scratch("cache");
-    let (j1, j2) = (scratch("single"), scratch("sharded"));
+    let (j1, j2) = (scratch("first"), scratch("second"));
 
-    // Warm the shared cache first so both measured runs replay the
-    // same snapshots: all hits, zero generations on either side.
+    // Warm the cache first so both measured runs replay the same
+    // snapshots: all hits, zero generations in either run.
     run(&[
         "trace",
         "record",
@@ -149,47 +148,36 @@ fn sharded_sweep_metrics_match_single_process() {
         cache.to_str().unwrap(),
     ]);
 
-    let single = run(&[
-        "sweep",
-        "--workloads",
-        WORKLOADS,
-        "--cache",
-        cache.to_str().unwrap(),
-        "--metrics",
-        &format!("json={}", j1.join("metrics.json").display()),
-    ]);
-    let sharded = run(&[
-        "sweep",
-        "--workloads",
-        WORKLOADS,
-        "--cache",
-        cache.to_str().unwrap(),
-        "--workers",
-        "2",
-        "--metrics",
-        &format!("json={}", j2.join("metrics.json").display()),
-    ]);
+    let sweep = |json: &Path| {
+        run(&[
+            "sweep",
+            "--workloads",
+            WORKLOADS,
+            "--cache",
+            cache.to_str().unwrap(),
+            "--metrics",
+            &format!("json={}", json.join("metrics.json").display()),
+        ])
+    };
+    let (first, second) = (sweep(&j1), sweep(&j2));
     // Telemetry must not disturb the replay results themselves: the
-    // sweep tables (everything before the metrics footer) still match.
+    // sweep tables (everything before the metrics footer) match.
     let table_of = |out: &str| {
         out.lines()
             .take_while(|l| !l.starts_with("metrics written"))
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(
-        table_of(&single),
-        table_of(&sharded),
-        "sweep output diverged"
-    );
+    assert_eq!(table_of(&first), table_of(&second), "sweep output diverged");
 
     let (m1, m2) = (load_metrics(&j1), load_metrics(&j2));
     for m in [&m1, &m2] {
         assert_eq!(m.get("version").and_then(Value::as_u64), Some(1));
+        // Attribution invariant on every snapshot.
+        check_attribution("", m.get("spans").expect("spans"));
     }
 
-    // Merge law, value level: every machine-independent counter from
-    // the two workers folds to exactly the single-process totals.
+    // Value level: every machine-independent counter repeats exactly.
     let (c1, c2) = (stable_counters(&m1), stable_counters(&m2));
     assert!(
         c1.contains_key("replay.events"),
@@ -199,35 +187,25 @@ fn sharded_sweep_metrics_match_single_process() {
         c1.keys().any(|k| k.ends_with(".on_batch_calls")),
         "expected per-tool counters in {c1:?}"
     );
-    assert_eq!(
-        c1, c2,
-        "stable counters diverged between single and sharded"
-    );
+    assert_eq!(c1, c2, "stable counters diverged between identical runs");
 
-    // Merge law, structural level: the replay span forest has the same
-    // shape and the same completion counts on both sides (durations
-    // are machine-dependent and not compared).
+    // Structural level: the replay span forest has the same shape and
+    // the same completion counts in both runs (durations are
+    // machine-dependent and not compared).
     let (s1, s2) = (replay_span_counts(&m1), replay_span_counts(&m2));
     assert!(!s1.is_empty(), "expected replay spans in {m1:?}");
     assert_eq!(s1, s2, "replay span structure diverged");
 
-    // Attribution invariant on both snapshots.
-    check_attribution("", m1.get("spans").expect("spans"));
-    check_attribution("", m2.get("spans").expect("spans"));
-
-    // The sharded side additionally records the coordinator's own
-    // stages; the shard fan-out must be visible as spans.
-    let spans2 = m2
+    // The command's own span sits at the top of the forest.
+    let top: Vec<&str> = m1
         .get("spans")
         .and_then(|s| s.get("children"))
-        .expect("children");
-    let top: Vec<&str> = spans2
-        .as_map()
+        .and_then(Value::as_map)
         .expect("span map")
         .iter()
         .map(|(name, _)| name.as_str())
         .collect();
-    assert!(top.contains(&"sweep"), "coordinator span missing: {top:?}");
+    assert!(top.contains(&"sweep"), "command span missing: {top:?}");
 
     for dir in [cache, j1, j2] {
         let _ = std::fs::remove_dir_all(dir);
@@ -247,6 +225,8 @@ fn metrics_text_prints_span_tree_and_counters() {
         "text",
     ]);
     assert!(out.contains("telemetry"), "in:\n{out}");
+    assert!(out.contains("spans (inclusive time"), "in:\n{out}");
+    assert!(out.contains("top counters:"), "in:\n{out}");
     assert!(out.contains("replay"), "in:\n{out}");
     assert!(out.contains("replay.events"), "in:\n{out}");
     let _ = std::fs::remove_dir_all(cache);

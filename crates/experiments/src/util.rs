@@ -17,8 +17,8 @@ use rebalance_pintools::{
     characterization_from_tools, characterization_tools, BbvTool, Characterization,
 };
 use rebalance_trace::{
-    CacheStats, DeliveryLedger, Pintool, Report, RunSummary, SampledOutcome, SamplingConfig,
-    SweepEngine, SweepOutcome, TraceCache,
+    CacheStats, Pintool, Report, RunSummary, SampledOutcome, SamplingConfig, SweepEngine,
+    SweepOutcome, TraceCache,
 };
 use rebalance_workloads::{Scale, Suite, Workload};
 
@@ -142,13 +142,7 @@ pub fn shared_cache() -> Option<&'static TraceCache> {
 /// Replay and cache accounting for everything run through [`engine`]
 /// so far — the one report the CLI and benches print.
 pub fn sweep_report() -> Report {
-    let mut report = engine().report().with_lanes(rebalance_trace::lane_fill());
-    // Attributed only when every delivered batch used one backend —
-    // an auto policy that split small and large traces stays unlabeled
-    // rather than mislabeled.
-    if let Some(backend) = rebalance_trace::delivered_backend() {
-        report = report.with_backend(backend);
-    }
+    let report = engine().report();
     match shared_cache() {
         Some(cache) => report.with_cache(cache),
         None => report,
@@ -156,14 +150,13 @@ pub fn sweep_report() -> Report {
 }
 
 /// A point-in-time baseline of the process-wide accounting ledgers
-/// (replay count, batch delivery, cache counters — all cumulative over
-/// the process). Capture one before a sweep and render the sweep-scoped
+/// (replay count and cache counters — both cumulative over the
+/// process). Capture one before a sweep and render the sweep-scoped
 /// report with [`sweep_report_since`], so a second sweep in the same
 /// process does not inherit the first one's traffic.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReportBaseline {
     replays: u64,
-    ledger: DeliveryLedger,
     cache: CacheStats,
 }
 
@@ -171,7 +164,6 @@ pub struct ReportBaseline {
 pub fn report_baseline() -> ReportBaseline {
     ReportBaseline {
         replays: engine().replays(),
-        ledger: DeliveryLedger::snapshot(),
         cache: shared_cache().map(TraceCache::stats).unwrap_or_default(),
     }
 }
@@ -179,15 +171,10 @@ pub fn report_baseline() -> ReportBaseline {
 /// Replay and cache accounting for everything run through [`engine`]
 /// since `base` — the per-sweep variant of [`sweep_report`].
 pub fn sweep_report_since(base: &ReportBaseline) -> Report {
-    let ledger = DeliveryLedger::snapshot().since(&base.ledger);
-    let mut report = Report {
+    let report = Report {
         replays: engine().replays() - base.replays,
         ..Report::default()
-    }
-    .with_lanes(ledger.lane_fill());
-    if let Some(backend) = ledger.backend() {
-        report = report.with_backend(backend);
-    }
+    };
     match shared_cache() {
         Some(cache) => report.with_cache_stats(cache.stats().since(&base.cache)),
         None => report,

@@ -1,19 +1,11 @@
 //! Process-wide telemetry: a metrics registry and a hierarchical span
-//! tree, both built for associative cross-process merging.
-//!
-//! The sweep pipeline runs the same work in three shapes — single
-//! process, executor threads, and `--workers N` shards — and a
-//! measurement is only trustworthy if all three report it identically.
-//! Everything in this crate is therefore designed around one algebra:
-//! snapshots form a commutative monoid under [`MetricsSnapshot::merged`]
-//! with [`MetricsSnapshot::default`] as the identity, mirroring how the
-//! sweep layer folds per-shard `Report`s.
+//! tree.
 //!
 //! Two primitives:
 //!
 //! * **Registry metrics** — [`Counter`], [`Gauge`], and [`Histogram`]
 //!   handles addressable by stable dotted names (`cache.hits`,
-//!   `replay.batches.wide`). Handles are cheap `Arc`s over atomics;
+//!   `replay.batches`). Handles are cheap `Arc`s over atomics;
 //!   call sites cache them in `OnceLock` statics so the hot path is a
 //!   single relaxed atomic op.
 //! * **Spans** — [`span`] returns an RAII guard over a monotonic clock.
@@ -30,12 +22,9 @@
 //!
 //! Naming scheme: dotted lowercase segments, most-general first
 //! (`cache.lock_wait_ns`). Metrics whose *value* is a duration carry a
-//! `_ns` suffix; shard-merge comparisons treat those as
-//! machine-dependent and compare them structurally, never by value.
-//! Counters merge by sum; gauges record configuration-like values
-//! (e.g. batch capacity) and merge by max so that a shard fold does
-//! not multiply them by the worker count; histograms merge
-//! bucket-wise.
+//! `_ns` suffix: they are machine-dependent, so run-to-run comparisons
+//! check them structurally, never by value. Gauges record
+//! configuration-like values (e.g. batch capacity).
 //!
 //! # Examples
 //!
@@ -137,9 +126,7 @@ impl Counter {
 }
 
 /// A last-writer-wins `i64` metric for configuration-like values
-/// (thread counts, batch capacity). Merges by **max**, not sum: a
-/// fold over `N` shards must not multiply a shard-invariant value by
-/// `N`.
+/// (thread counts, batch capacity).
 #[derive(Clone, Debug)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -259,7 +246,7 @@ pub fn histogram(name: &str) -> Histogram {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// One node of the merged span tree: total inclusive nanoseconds,
+/// One node of the span tree: total inclusive nanoseconds,
 /// number of completed spans, and child nodes keyed by span name.
 ///
 /// Self-time is implicit: `total_ns` minus the sum of child totals is
@@ -318,9 +305,14 @@ fn global_spans() -> &'static Mutex<SpanNode> {
     GLOBAL.get_or_init(Mutex::default)
 }
 
-fn absorbed() -> &'static Mutex<MetricsSnapshot> {
-    static ABSORBED: OnceLock<Mutex<MetricsSnapshot>> = OnceLock::new();
-    ABSORBED.get_or_init(Mutex::default)
+/// The child of `node` named `name`, created on first use. Looks up by
+/// `&str` first, so the per-span hot path allocates a key only the
+/// first time a path appears.
+fn child<'a>(node: &'a mut SpanNode, name: &str) -> &'a mut SpanNode {
+    if !node.children.contains_key(name) {
+        node.children.insert(name.to_owned(), SpanNode::default());
+    }
+    node.children.get_mut(name).expect("inserted above")
 }
 
 /// RAII guard returned by [`span`]; records the elapsed time into the
@@ -342,9 +334,9 @@ impl Drop for SpanGuard {
             let elapsed = start.elapsed().as_nanos() as u64;
             let mut node = &mut *root;
             for (ancestor, _) in stack.iter() {
-                node = node.children.entry((*ancestor).to_string()).or_default();
+                node = child(node, ancestor);
             }
-            let leaf = node.children.entry(name.to_string()).or_default();
+            let leaf = child(node, name);
             leaf.total_ns += elapsed;
             leaf.count += 1;
             if stack.is_empty() {
@@ -395,20 +387,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    fn merged(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let len = self.buckets.len().max(other.buckets.len());
-        let mut buckets = vec![0u64; len];
-        for (i, slot) in buckets.iter_mut().enumerate() {
-            *slot = self.buckets.get(i).copied().unwrap_or(0)
-                + other.buckets.get(i).copied().unwrap_or(0);
-        }
-        HistogramSnapshot {
-            count: self.count + other.count,
-            sum: self.sum + other.sum,
-            buckets,
-        }
-    }
-
     /// Upper bound of the highest nonzero bucket (`2^i`), or 0 when
     /// the histogram is empty. A cheap tail indicator for rendering.
     pub fn max_bound(&self) -> u64 {
@@ -420,15 +398,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// A mergeable point-in-time copy of every metric and the full span
-/// tree. This is the unit shipped from `__worker` shards to the
-/// coordinator and written to `metrics.json`.
-///
-/// Snapshots form a commutative monoid: [`MetricsSnapshot::merged`] is
-/// associative, and [`MetricsSnapshot::default`] is its identity —
-/// the same laws the sweep layer relies on when folding shard
-/// `Report`s, so telemetry from `--workers N` is bit-stable against a
-/// single-process run for every machine-independent metric.
+/// A point-in-time copy of every metric and the full span tree — what
+/// `--metrics` renders and writes to `metrics.json`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name (zero-valued counters are omitted).
@@ -443,25 +414,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Merges two snapshots: counters add, gauges take the max,
-    /// histograms add bucket-wise, span trees merge recursively.
-    pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = self.clone();
-        for (name, v) in &other.counters {
-            *out.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            let slot = out.gauges.entry(name.clone()).or_insert(*v);
-            *slot = (*slot).max(*v);
-        }
-        for (name, h) in &other.histograms {
-            let slot = out.histograms.entry(name.clone()).or_default();
-            *slot = slot.merged(h);
-        }
-        out.spans.absorb(&other.spans);
-        out
-    }
-
     /// True when the snapshot holds no metrics and no spans.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
@@ -582,32 +534,43 @@ impl MetricsSnapshot {
         fn ms(ns: u64) -> String {
             format!("{:.3}ms", ns as f64 / 1e6)
         }
-        fn tree(node: &SpanNode, depth: usize, out: &mut String) {
+        fn tree<'a>(node: &'a SpanNode, depth: usize, rows: &mut Vec<(String, &'a SpanNode)>) {
             for (name, child) in &node.children {
-                let label = format!("{}{}", "  ".repeat(depth), name);
-                let _ = writeln!(
-                    out,
-                    "  {label:<32} {:>12} x{}",
-                    ms(child.total_ns),
-                    child.count
-                );
-                tree(child, depth + 1, out);
+                rows.push((format!("{}{}", "  ".repeat(depth), name), child));
+                tree(child, depth + 1, rows);
             }
+        }
+        // Each section sizes its name column to its longest label, so
+        // long dotted names never push their values out of line.
+        fn width<'a>(labels: impl Iterator<Item = &'a str>) -> usize {
+            labels.map(|l| l.chars().count()).max().unwrap_or(0)
         }
 
         let mut out = String::new();
         out.push_str("telemetry\n");
         if !self.spans.children.is_empty() {
             out.push_str("spans (inclusive time, completions):\n");
-            tree(&self.spans, 0, &mut out);
+            let mut rows = Vec::new();
+            tree(&self.spans, 0, &mut rows);
+            let w = width(rows.iter().map(|(label, _)| label.as_str()));
+            for (label, node) in &rows {
+                let _ = writeln!(
+                    out,
+                    "  {label:<w$} {:>12} x{}",
+                    ms(node.total_ns),
+                    node.count
+                );
+            }
         }
         if !self.counters.is_empty() {
             out.push_str("top counters:\n");
             let mut rows: Vec<(&String, &u64)> = self.counters.iter().collect();
             rows.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
             const SHOWN: usize = 24;
-            for (name, v) in rows.iter().take(SHOWN) {
-                let _ = writeln!(out, "  {name:<32} {v:>14}");
+            let shown = &rows[..rows.len().min(SHOWN)];
+            let w = width(shown.iter().map(|(name, _)| name.as_str()));
+            for (name, v) in shown {
+                let _ = writeln!(out, "  {name:<w$} {v:>14}");
             }
             if rows.len() > SHOWN {
                 let _ = writeln!(out, "  ... and {} more", rows.len() - SHOWN);
@@ -615,16 +578,18 @@ impl MetricsSnapshot {
         }
         if !self.gauges.is_empty() {
             out.push_str("gauges:\n");
+            let w = width(self.gauges.keys().map(String::as_str));
             for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name:<32} {v:>14}");
+                let _ = writeln!(out, "  {name:<w$} {v:>14}");
             }
         }
         if !self.histograms.is_empty() {
             out.push_str("histograms:\n");
+            let w = width(self.histograms.keys().map(String::as_str));
             for (name, h) in &self.histograms {
                 let _ = writeln!(
                     out,
-                    "  {name:<32} count={} sum={} max<{}",
+                    "  {name:<w$} count={} sum={} max<{}",
                     h.count,
                     h.sum,
                     h.max_bound()
@@ -639,13 +604,12 @@ impl MetricsSnapshot {
 // Process-level collection
 // ---------------------------------------------------------------------------
 
-/// Captures everything recorded so far: the live registry, the merged
-/// span tree (including this thread's finished spans), and every
-/// snapshot previously [`absorb`]ed from other processes.
+/// Captures everything recorded so far: the live registry and the
+/// process span tree (including this thread's finished spans).
 ///
 /// Zero-valued counters/gauges and empty histograms are omitted so
 /// that which handles happened to be *registered* (vs actually used)
-/// never shows up in merge comparisons.
+/// never shows up in run-to-run comparisons.
 pub fn snapshot() -> MetricsSnapshot {
     // Flush this thread's finished spans so a snapshot taken right
     // after the top-level span closes sees it.
@@ -654,44 +618,32 @@ pub fn snapshot() -> MetricsSnapshot {
         global_spans().lock().expect("span tree").absorb(&local);
     }
 
-    let mut snap = absorbed().lock().expect("absorbed snapshots").clone();
+    let mut snap = MetricsSnapshot::default();
     let reg = registry();
     for (name, c) in reg.counters.lock().expect("counter registry").iter() {
         let v = c.value();
         if v > 0 {
-            *snap.counters.entry(name.clone()).or_insert(0) += v;
+            snap.counters.insert(name.clone(), v);
         }
     }
     for (name, g) in reg.gauges.lock().expect("gauge registry").iter() {
         let v = g.value();
         if v != 0 {
-            let slot = snap.gauges.entry(name.clone()).or_insert(v);
-            *slot = (*slot).max(v);
+            snap.gauges.insert(name.clone(), v);
         }
     }
     for (name, h) in reg.histograms.lock().expect("histogram registry").iter() {
         let hs = h.snapshot();
         if hs.count > 0 {
-            let slot = snap.histograms.entry(name.clone()).or_default();
-            *slot = slot.merged(&hs);
+            snap.histograms.insert(name.clone(), hs);
         }
     }
-    snap.spans
-        .absorb(&global_spans().lock().expect("span tree"));
+    snap.spans = global_spans().lock().expect("span tree").clone();
     snap
 }
 
-/// Merges a snapshot from another process (a `__worker` shard) into
-/// this process's collection; [`snapshot`] folds it back out with the
-/// same associative merge the sweep layer uses for `Report`s.
-pub fn absorb(snap: &MetricsSnapshot) {
-    let mut held = absorbed().lock().expect("absorbed snapshots");
-    let merged = held.merged(snap);
-    *held = merged;
-}
-
-/// Clears every counter, gauge, histogram, the span tree, and all
-/// absorbed snapshots. For benches and tests that measure deltas.
+/// Clears every counter, gauge, histogram, and the span tree. For
+/// benches and tests that measure deltas.
 pub fn reset() {
     let reg = registry();
     for c in reg.counters.lock().expect("counter registry").values() {
@@ -704,7 +656,6 @@ pub fn reset() {
         h.reset();
     }
     *global_spans().lock().expect("span tree") = SpanNode::default();
-    *absorbed().lock().expect("absorbed snapshots") = MetricsSnapshot::default();
     LOCAL.with(|cell| cell.borrow_mut().root = SpanNode::default());
 }
 
@@ -713,7 +664,7 @@ mod tests {
     use super::*;
 
     // Registry + span state is process-global; tests that touch it
-    // serialize on this lock (pure merge-law tests don't need it).
+    // serialize on this lock (pure snapshot tests don't need it).
     fn test_guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -820,21 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_feeds_snapshot() {
-        let _g = test_guard();
-        reset();
-        let mut external = MetricsSnapshot::default();
-        external.counters.insert("shard.counter".into(), 7);
-        external.gauges.insert("shard.gauge".into(), 3);
-        absorb(&external);
-        absorb(&external);
-        let snap = snapshot();
-        assert_eq!(snap.counters["shard.counter"], 14);
-        assert_eq!(snap.gauges["shard.gauge"], 3); // max, not sum
-        reset();
-    }
-
-    #[test]
     fn attribution_violation_is_reported() {
         let mut snap = MetricsSnapshot::default();
         let mut parent = SpanNode {
@@ -889,131 +825,48 @@ mod tests {
     fn render_text_lists_spans_and_counters() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("cache.hits".into(), 9);
-        snap.spans.children.insert(
-            "sweep".into(),
+        // Longer than the old fixed 32-character name column.
+        let long = "tool.L-tournament-small.on_batch_calls";
+        snap.counters.insert(long.into(), 1234);
+        let mut sweep = SpanNode {
+            total_ns: 2_000_000,
+            count: 1,
+            children: BTreeMap::new(),
+        };
+        sweep.children.insert(
+            "replay.decode.batch.branches.fill.long".into(),
             SpanNode {
-                total_ns: 2_000_000,
-                count: 1,
+                total_ns: 1_000_000,
+                count: 3,
                 children: BTreeMap::new(),
             },
         );
+        snap.spans.children.insert("sweep".into(), sweep);
         let text = snap.render_text();
         assert!(text.contains("sweep"), "{text}");
         assert!(text.contains("2.000ms"), "{text}");
         assert!(text.contains("cache.hits"), "{text}");
-    }
 
-    #[test]
-    fn merge_identity_and_units() {
-        let mut a = MetricsSnapshot::default();
-        a.counters.insert("c".into(), 3);
-        a.gauges.insert("g".into(), -2);
-        a.histograms.insert(
-            "h".into(),
-            HistogramSnapshot {
-                count: 2,
-                sum: 9,
-                buckets: vec![0, 1, 1],
-            },
+        // Counter values are right-aligned in one column: both rows end
+        // at the same character position.
+        let line = |needle: &str| {
+            text.lines()
+                .find(|l| l.contains(needle))
+                .unwrap_or_else(|| panic!("no `{needle}` line in\n{text}"))
+                .to_owned()
+        };
+        let (short_row, long_row) = (line("cache.hits"), line(long));
+        assert!(
+            short_row.ends_with(" 9") && long_row.ends_with(" 1234"),
+            "{text}"
         );
-        let id = MetricsSnapshot::default();
-        assert_eq!(a.merged(&id), a);
-        assert_eq!(id.merged(&a), a);
+        assert_eq!(short_row.len(), long_row.len(), "{text}");
+        // The long name keeps a separator before its value.
+        assert!(long_row.contains(&format!("{long} ")), "{text}");
+
+        // Span times line up too, under the deeper, longer child label.
+        let (root, child) = (line("2.000ms"), line("1.000ms"));
+        assert_eq!(root.find("ms x"), child.find("ms x"), "{text}");
     }
 }
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Builds a snapshot from generated (slot, value) pairs: slots map
-    /// onto a small fixed name space so merges actually collide.
-    fn snap_from(parts: &[(u8, u16)]) -> MetricsSnapshot {
-        const NAMES: [&str; 4] = ["a.x", "a.y_ns", "b.x", "b.z"];
-        let mut snap = MetricsSnapshot::default();
-        for &(slot, v) in parts {
-            let name = NAMES[(slot % 4) as usize];
-            match slot % 3 {
-                0 => *snap.counters.entry(name.into()).or_insert(0) += v as u64,
-                1 => {
-                    let slot = snap.gauges.entry(name.into()).or_insert(v as i64);
-                    *slot = (*slot).max(v as i64);
-                }
-                _ => {
-                    let h = snap.histograms.entry(name.into()).or_default();
-                    let mut one = HistogramSnapshot {
-                        count: 1,
-                        sum: v as u64,
-                        buckets: vec![0; HIST_BUCKETS],
-                    };
-                    one.buckets[super::bucket_index(v as u64)] = 1;
-                    *h = h.merged(&one);
-                }
-            }
-            // Give the span tree a couple of colliding paths too.
-            let mut node = SpanNode {
-                total_ns: v as u64 + 1,
-                count: 1,
-                children: BTreeMap::new(),
-            };
-            if slot % 2 == 0 {
-                node.children.insert(
-                    "leaf".into(),
-                    SpanNode {
-                        total_ns: (v as u64) / 2,
-                        count: 1,
-                        children: BTreeMap::new(),
-                    },
-                );
-            }
-            snap.spans
-                .children
-                .entry(name.into())
-                .or_default()
-                .absorb(&node);
-        }
-        snap
-    }
-
-    proptest! {
-        #[test]
-        fn merge_is_associative(
-            xs in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-            ys in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-            zs in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-        ) {
-            let (a, b, c) = (snap_from(&xs), snap_from(&ys), snap_from(&zs));
-            prop_assert_eq!(a.merged(&b).merged(&c), a.merged(&b.merged(&c)));
-        }
-
-        #[test]
-        fn default_is_the_merge_identity(
-            xs in proptest::collection::vec((0u8..12, 0u16..1000), 0..30),
-        ) {
-            let a = snap_from(&xs);
-            let id = MetricsSnapshot::default();
-            prop_assert_eq!(a.merged(&id), a.clone());
-            prop_assert_eq!(id.merged(&a), a);
-        }
-
-        #[test]
-        fn merge_is_commutative(
-            xs in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-            ys in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-        ) {
-            let (a, b) = (snap_from(&xs), snap_from(&ys));
-            prop_assert_eq!(a.merged(&b), b.merged(&a));
-        }
-
-        #[test]
-        fn merge_preserves_attribution(
-            xs in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-            ys in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-        ) {
-            let (a, b) = (snap_from(&xs), snap_from(&ys));
-            prop_assert!(a.check_attribution().is_ok());
-            prop_assert!(a.merged(&b).check_attribution().is_ok());
-        }
-    }
-}
+// ---- end

@@ -234,23 +234,6 @@ impl CacheStats {
         }
     }
 
-    /// Counter sums across independent caches (or per-shard deltas) —
-    /// how a sweep coordinator folds worker stats into one report.
-    pub fn merged(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            generations: self.generations + other.generations,
-            rejected: self.rejected + other.rejected,
-            write_failures: self.write_failures + other.write_failures,
-            coalesced: self.coalesced + other.coalesced,
-            tmp_swept: self.tmp_swept + other.tmp_swept,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            lock_wait_ns: self.lock_wait_ns + other.lock_wait_ns,
-        }
-    }
-
     /// Hits as a fraction of all lookups (0 when none).
     pub fn hit_rate(&self) -> f64 {
         let lookups = self.hits + self.misses;
@@ -1412,7 +1395,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_sums_all_counters() {
+    fn stats_since_subtracts_all_counters() {
         let a = CacheStats {
             hits: 1,
             misses: 2,
@@ -1425,11 +1408,20 @@ mod tests {
             bytes_written: 9,
             lock_wait_ns: 10,
         };
-        let merged = a.merged(&a);
-        assert_eq!(merged.since(&a), a, "merge then delta round-trips");
-        assert_eq!(merged.hits, 2);
-        assert_eq!(merged.tmp_swept, 14);
-        assert_eq!(merged.lock_wait_ns, 20);
+        let doubled = CacheStats {
+            hits: 2,
+            misses: 4,
+            generations: 6,
+            rejected: 8,
+            write_failures: 10,
+            coalesced: 12,
+            tmp_swept: 14,
+            bytes_read: 16,
+            bytes_written: 18,
+            lock_wait_ns: 20,
+        };
+        assert_eq!(doubled.since(&a), a);
+        assert_eq!(a.since(&a), CacheStats::default());
     }
 
     #[test]

@@ -9,39 +9,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::backend::ComputeBackend;
 use crate::cache::{CacheStats, TraceCache};
 use crate::sweep::SweepEngine;
-
-/// How full the SoA lanes ran over one sweep: total events delivered
-/// and how many of them occupied the dense branch lane group.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LaneFill {
-    /// Events pushed through batches (the full-event lane length).
-    pub instructions: u64,
-    /// Events that also landed in the branch lane group.
-    pub branches: u64,
-}
-
-impl LaneFill {
-    /// Fraction of events occupying the branch lanes (the data density
-    /// branch-only wide loops stream at).
-    pub fn branch_fraction(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.branches as f64 / self.instructions as f64
-        }
-    }
-
-    /// Lane-fill sums across independent sweeps (shard merging).
-    pub fn merged(&self, other: &LaneFill) -> LaneFill {
-        LaneFill {
-            instructions: self.instructions + other.instructions,
-            branches: self.branches + other.branches,
-        }
-    }
-}
 
 /// Replay and cache accounting for one sweep (or one whole process).
 ///
@@ -63,11 +32,6 @@ pub struct Report {
     pub replays: u64,
     /// Cache accounting, when a [`TraceCache`] mediated the replays.
     pub cache: Option<CacheStats>,
-    /// The compute backend the replays streamed with, when the caller
-    /// resolved one (`None` for mixed or backend-oblivious sweeps).
-    pub backend: Option<ComputeBackend>,
-    /// SoA lane fill over the sweep, when the caller tallied it.
-    pub lanes: Option<LaneFill>,
 }
 
 impl Report {
@@ -76,8 +40,6 @@ impl Report {
         Report {
             replays: engine.replays(),
             cache: None,
-            backend: None,
-            lanes: None,
         }
     }
 
@@ -94,51 +56,12 @@ impl Report {
         self
     }
 
-    /// Attaches the resolved compute backend.
-    pub fn with_backend(mut self, backend: ComputeBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Attaches SoA lane fill counters.
-    pub fn with_lanes(mut self, lanes: LaneFill) -> Self {
-        self.lanes = Some(lanes);
-        self
-    }
-
     /// Trace generations performed: with a cache this is the cache's
     /// generation counter; without one every replay generated.
     pub fn generations(&self) -> u64 {
         match &self.cache {
             Some(stats) => stats.generations,
             None => self.replays,
-        }
-    }
-
-    /// Folds another report (typically a worker shard's delta) into
-    /// this one: replays, cache counters, and lane fill add; backends
-    /// agree or collapse to `None` (an empty report is neutral and
-    /// never erases the other side's backend).
-    pub fn merged(&self, other: &Report) -> Report {
-        let cache = match (self.cache, other.cache) {
-            (Some(a), Some(b)) => Some(a.merged(&b)),
-            (a, b) => a.or(b),
-        };
-        let backend = match (self.backend, other.backend) {
-            (Some(a), Some(b)) if a == b => Some(a),
-            (a, None) if other.replays == 0 => a,
-            (None, b) if self.replays == 0 => b,
-            _ => None,
-        };
-        let lanes = match (self.lanes, other.lanes) {
-            (Some(a), Some(b)) => Some(a.merged(&b)),
-            (a, b) => a.or(b),
-        };
-        Report {
-            replays: self.replays + other.replays,
-            cache,
-            backend,
-            lanes,
         }
     }
 }
@@ -153,17 +76,6 @@ impl fmt::Display for Report {
         )?;
         if let Some(stats) = &self.cache {
             write!(f, " | cache: {stats}")?;
-        }
-        if let Some(backend) = &self.backend {
-            write!(f, " | backend: {backend}")?;
-        }
-        if let Some(lanes) = &self.lanes {
-            write!(
-                f,
-                " | lanes: {} events, {:.1}% branch",
-                lanes.instructions,
-                100.0 * lanes.branch_fraction()
-            )?;
         }
         Ok(())
     }
@@ -200,37 +112,6 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("replays: 41"), "{text}");
         assert!(text.contains("38 hits"), "{text}");
-    }
-
-    #[test]
-    fn merged_sums_shards_and_reconciles_backends() {
-        let shard = |replays, backend| Report {
-            replays,
-            cache: Some(CacheStats {
-                hits: replays,
-                ..CacheStats::default()
-            }),
-            backend,
-            lanes: Some(LaneFill {
-                instructions: 100 * replays,
-                branches: 10 * replays,
-            }),
-        };
-        let a = shard(3, Some(ComputeBackend::Wide));
-        let b = shard(4, Some(ComputeBackend::Wide));
-        let merged = a.merged(&b);
-        assert_eq!(merged.replays, 7);
-        assert_eq!(merged.cache.unwrap().hits, 7);
-        assert_eq!(merged.backend, Some(ComputeBackend::Wide));
-        assert_eq!(merged.lanes.unwrap().instructions, 700);
-
-        // Disagreeing backends collapse to mixed.
-        let c = shard(1, Some(ComputeBackend::Scalar));
-        assert_eq!(merged.merged(&c).backend, None);
-
-        // The empty report is a neutral fold seed.
-        assert_eq!(Report::default().merged(&merged), merged);
-        assert_eq!(merged.merged(&Report::default()), merged);
     }
 
     #[test]

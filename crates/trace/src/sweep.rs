@@ -141,11 +141,9 @@ impl SweepEngine {
 
     /// Total trace replays this engine has performed.
     ///
-    /// Scoped to this engine instance, unlike the process-wide
-    /// [`replay_count`](crate::replay_count) ledger — a delta of the
-    /// global counter would be polluted by concurrent replays elsewhere
-    /// in the process, so the engine keeps its own tally at its single
-    /// replay choke point ([`SweepEngine::fan_out`]).
+    /// Scoped to this engine instance, so replays elsewhere in the
+    /// process never show up here: the engine keeps its own tally at
+    /// its single replay choke point ([`SweepEngine::fan_out`]).
     pub fn replays(&self) -> u64 {
         self.replays.load(Ordering::Relaxed)
     }

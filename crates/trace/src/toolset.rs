@@ -132,11 +132,8 @@ impl<T: Pintool> Pintool for ToolSet<T> {
     /// Fans the whole block out: each tool walks the batch with its own
     /// (statically dispatched, possibly branch-subset-only) loop while
     /// the block is hot in cache, instead of interleaving all N tools
-    /// on every single event. Also tallies the block into the
-    /// process-wide delivery ledger ([`lane_fill`](crate::lane_fill))
-    /// — this is the choke point every sweep's batches pass through.
+    /// on every single event.
     fn on_batch(&mut self, batch: &EventBatch) {
-        crate::batch::record_delivery(batch);
         for tool in &mut self.tools {
             tool.on_batch(batch);
         }
@@ -156,10 +153,6 @@ impl<T: Pintool> Pintool for ToolSet<T> {
 
     fn supports_sampled_replay(&self) -> bool {
         self.tools.iter().all(Pintool::supports_sampled_replay)
-    }
-
-    fn wants_event_lanes(&self) -> bool {
-        self.tools.iter().any(Pintool::wants_event_lanes)
     }
 }
 

@@ -6,18 +6,31 @@
 //! 2. a sweep performs exactly **one** trace replay per `(workload,
 //!    scale)` item, however many tools are attached.
 //!
-//! The replay-count assertions read the process-wide
-//! [`replay_count`] counter, so the tests in this binary serialize on a
-//! shared lock to keep the deltas exact.
-
-use std::sync::Mutex;
+//! Replay counts are read from state local to each test — the
+//! engine's own ledger or a counting tool riding along the replay — so
+//! tests running in parallel can never move them.
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorReport, PredictorSim};
 use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
-use rebalance::trace::{replay_count, Executor, SweepEngine, SyntheticTrace, ToolSet};
+use rebalance::trace::{
+    EventBatch, Executor, Pintool, SweepEngine, SyntheticTrace, ToolSet, TraceEvent,
+};
 use rebalance::Scale;
 
-static REPLAY_COUNTER_LOCK: Mutex<()> = Mutex::new(());
+/// Counts the events delivered to it: a replay's worth of events is
+/// one replay, whatever else rides along.
+#[derive(Default)]
+struct EventCounter(u64);
+
+impl Pintool for EventCounter {
+    fn on_inst(&mut self, _ev: &TraceEvent) {
+        self.0 += 1;
+    }
+
+    fn on_batch(&mut self, batch: &EventBatch) {
+        self.0 += batch.len() as u64;
+    }
+}
 
 fn trace_for(name: &str) -> SyntheticTrace {
     rebalance::workloads::find(name)
@@ -32,31 +45,28 @@ fn predictor_sims() -> Vec<PredictorSim<Box<dyn DirectionPredictor>>> {
 
 #[test]
 fn fan_out_replay_is_bit_identical_to_sequential_replays() {
-    let _lock = REPLAY_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let trace = trace_for("CoMD");
+    let trace_len = trace.schedule().total_instructions();
 
     // --- Predictors: nine configurations, one replay. ---
-    let before = replay_count();
+    let mut counter = EventCounter::default();
     let mut fanned = ToolSet::from_tools(predictor_sims());
-    trace.replay(&mut fanned);
+    trace.replay(&mut (&mut fanned, &mut counter));
     assert_eq!(
-        replay_count() - before,
-        1,
+        counter.0, trace_len,
         "a ToolSet of nine sims costs one replay"
     );
     let fanned_reports: Vec<PredictorReport> = fanned.iter().map(PredictorSim::report).collect();
 
-    let before = replay_count();
+    let mut counter = EventCounter::default();
     let sequential_reports: Vec<PredictorReport> = predictor_sims()
         .into_iter()
         .map(|mut sim| {
-            trace.replay(&mut sim);
+            trace.replay(&mut (&mut sim, &mut counter));
             sim.report()
         })
         .collect();
-    assert_eq!(replay_count() - before, 9, "the baseline costs nine");
+    assert_eq!(counter.0, 9 * trace_len, "the baseline costs nine");
     assert_eq!(fanned_reports, sequential_reports, "bit-identical reports");
 
     // --- I-cache geometries. ---
@@ -86,9 +96,6 @@ fn fan_out_replay_is_bit_identical_to_sequential_replays() {
 
 #[test]
 fn sweep_replays_each_workload_exactly_once() {
-    let _lock = REPLAY_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let workloads: Vec<_> = ["CG", "FT", "gcc", "swim"]
         .iter()
         .map(|n| rebalance::workloads::find(n).unwrap())
@@ -96,32 +103,23 @@ fn sweep_replays_each_workload_exactly_once() {
     let n_workloads = workloads.len();
 
     let engine = SweepEngine::new();
-    let before = replay_count();
     let outcomes = engine.sweep(
         workloads,
         |w| w.trace(Scale::Smoke).expect("roster profile"),
         |_| predictor_sims(),
     );
-    let delta = replay_count() - before;
 
     assert_eq!(outcomes.len(), n_workloads);
     assert!(outcomes.iter().all(|o| o.tools.len() == 9));
     assert_eq!(
-        delta, n_workloads as u64,
-        "one replay per workload, independent of the nine tools attached"
-    );
-    assert_eq!(
         engine.replays(),
         n_workloads as u64,
-        "the engine's own ledger agrees"
+        "one replay per workload, independent of the nine tools attached"
     );
 }
 
 #[test]
 fn parallel_sweep_matches_single_threaded_sweep() {
-    let _lock = REPLAY_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let names = ["CoEVP", "MG", "astar"];
     let run = |engine: SweepEngine| -> Vec<Vec<PredictorReport>> {
         let workloads: Vec<_> = names
