@@ -1,5 +1,5 @@
 //! Minimal flag parsing shared by the subcommands (the workspace builds
-//! offline, so no clap — the same hand-rolled style as `repro`).
+//! offline, so no clap).
 
 use rebalance_coresim::FetchModelKind;
 use rebalance_workloads::{Scale, Suite};

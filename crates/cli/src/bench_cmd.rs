@@ -1,32 +1,20 @@
-//! `rebalance bench` — replay-throughput measurement, the CLI mirror
-//! of the `warm_replay_six_workloads` criterion group plus a
-//! sampled-sweep row.
+//! `rebalance bench` — the telemetry-overhead gate.
 //!
-//! Four measurements, all over pre-validated in-memory snapshots so
-//! the timed region is purely the delivery spine and the tools:
+//! Times the warm batched nine-predictor sweep over pre-validated
+//! in-memory snapshots (so the timed region is purely the delivery
+//! spine and the tools) in interleaved collection-off/on pairs whose
+//! sides each run for at least [`MIN_PASS`], and records the median and
+//! upper confidence bound of the paired overhead plus the per-stage
+//! span breakdown from the enabled runs. The bench *fails* if the upper
+//! bound exceeds [`TELEMETRY_OVERHEAD_BUDGET_PCT`], which bounds
+//! disabled-mode overhead too (disabled spans are strictly cheaper: one
+//! atomic load, no clock read).
 //!
-//! * **warm sweep** — the nine-predictor fan-out replayed per event
-//!   and batched; dominated by TAGE table compute both sides pay, so
-//!   the delivery win shows as a modest ratio here,
-//! * **pintools** — the branch-profiling fan-out (mix, direction,
-//!   bias) composed dynamically as `ToolSet<Box<dyn Pintool>>`, the
-//!   delivery-bound case: batched delivery pays the virtual
-//!   transitions once per block and walks only the dense branch
-//!   subset, while per-event delivery pays three virtual calls on
-//!   every instruction,
-//! * **sampled sweep** — phase-sampled replay, reported as both
-//!   delivered and effective (full-trace-equivalent) throughput,
-//! * **telemetry** — the warm batched sweep timed in interleaved
-//!   collection-off/on pairs whose sides each run for at least
-//!   [`MIN_PASS`], the median and upper confidence bound of the paired
-//!   overhead, and the per-stage span breakdown from the enabled
-//!   runs. The bench *fails* if the upper bound exceeds
-//!   [`TELEMETRY_OVERHEAD_BUDGET_PCT`], which bounds disabled-mode
-//!   overhead too (disabled spans are strictly cheaper: one atomic
-//!   load, no clock read).
+//! End-to-end and per-layer timings of every command come from the
+//! repository benchmark (`perfbench/`), not from here.
 //!
-//! Always writes `BENCH_replay.json` — into `--json DIR` when given,
-//! else the current directory.
+//! A passing run writes `BENCH_replay.json` — into `--json DIR` when
+//! given, else the current directory.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -34,23 +22,14 @@ use std::time::{Duration, Instant};
 use rebalance_experiments::util::{f2, TextTable};
 use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::PredictorChoice;
-use rebalance_pintools::{BbvTool, BranchBiasTool, BranchMixTool, DirectionTool};
 use rebalance_telemetry::{self as telemetry, SpanNode};
-use rebalance_trace::{batch_capacity, snapshot, NullTool, Pintool, SamplePlan, Snapshot, ToolSet};
+use rebalance_trace::{batch_capacity, snapshot, Snapshot, ToolSet};
 use serde::Serialize;
 
 use crate::args;
 
-/// Workloads measured when no selection is given — the same six the
-/// `warm_replay_six_workloads` criterion group replays, so CLI numbers
-/// line up with bench history.
+/// Workloads measured when no selection is given.
 const DEFAULT_ROSTER: [&str; 6] = ["CG", "FT", "MG", "gcc", "CoMD", "swim"];
-
-/// Minimum measured wall time per mode (after one untimed warmup pass).
-const MIN_MEASURE: Duration = Duration::from_millis(300);
-
-/// Iteration cap so tiny traces do not spin for thousands of passes.
-const MAX_ITERS: u32 = 200;
 
 /// Hard ceiling on the upper confidence bound of the telemetry
 /// group's enabled-mode overhead; the bench errors beyond it.
@@ -74,13 +53,6 @@ struct BenchJson {
     batch_capacity: usize,
     workloads: Vec<String>,
     total_instructions: u64,
-    /// Nine-predictor fan-out (the criterion group's tool set).
-    warm_sweep: Vec<ModeRow>,
-    /// Branch-profiling pintool fan-out (mix + direction + bias),
-    /// dynamically composed — the delivery-bound sweep shape.
-    pintools: Vec<ModeRow>,
-    /// Phase-sampled batched replay.
-    sampled_sweep: SampledRow,
     /// Telemetry on/off timing plus the per-stage span breakdown.
     telemetry: TelemetryJson,
 }
@@ -92,24 +64,6 @@ struct HostJson {
     logical_cores: usize,
     os: String,
     arch: String,
-}
-
-/// One delivery mode's throughput over the full event stream.
-#[derive(Debug, Serialize)]
-struct ModeRow {
-    mode: String,
-    melem_per_s: f64,
-    speedup_vs_per_event: f64,
-}
-
-/// Sampled-replay throughput. `delivered` counts only events handed to
-/// the tools; `effective` credits the full trace the sampled totals
-/// reproduce.
-#[derive(Debug, Serialize)]
-struct SampledRow {
-    delivered_fraction: f64,
-    delivered_melem_per_s: f64,
-    effective_melem_per_s: f64,
 }
 
 /// The telemetry group: the warm batched nine-predictor sweep timed
@@ -194,25 +148,6 @@ fn host() -> HostJson {
     }
 }
 
-/// Times `routine` over fresh `setup()` inputs (setup is untimed, like
-/// criterion's `iter_batched`): one warmup pass, then passes until
-/// [`MIN_MEASURE`] of measured time or [`MAX_ITERS`]. Returns mean
-/// seconds per pass.
-fn measure<T>(mut setup: impl FnMut() -> T, mut routine: impl FnMut(&mut T)) -> f64 {
-    let mut warm = setup();
-    routine(&mut warm);
-    let mut total = Duration::ZERO;
-    let mut iters = 0u32;
-    while (total < MIN_MEASURE || iters < 3) && iters < MAX_ITERS {
-        let mut input = setup();
-        let start = Instant::now();
-        routine(&mut input);
-        total += start.elapsed();
-        iters += 1;
-    }
-    total.as_secs_f64() / f64::from(iters)
-}
-
 /// One interleaved collection-off/on pair: `sweeps` timed runs of
 /// `routine` per side, alternating sides run by run (the side that
 /// goes first alternates with `pair`), each run over a fresh untimed
@@ -277,35 +212,8 @@ fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// Replays every snapshot into `tool`, batched or per event.
-fn replay_all<T: Pintool>(snaps: &[Snapshot<'_>], tool: &mut [T], batched: bool) {
-    for (snap, tool) in snaps.iter().zip(tool.iter_mut()) {
-        let result = if batched {
-            snap.replay(tool)
-        } else {
-            snap.replay_per_event(tool)
-        };
-        result.expect("validated snapshot replays");
-    }
-}
-
-/// The two delivery modes, with their display/JSON labels.
-const MODES: [(&str, bool); 2] = [("per_event", false), ("batched", true)];
-
-/// Seconds-per-pass for each mode → rows with per-event-relative
-/// speedups.
-fn mode_rows(secs: &[(String, f64)], insts: u64) -> Vec<ModeRow> {
-    let per_event_secs = secs[0].1;
-    secs.iter()
-        .map(|(mode, s)| ModeRow {
-            mode: mode.clone(),
-            melem_per_s: insts as f64 / s / 1e6,
-            speedup_vs_per_event: per_event_secs / s,
-        })
-        .collect()
-}
-
-/// Runs the benchmark and writes `BENCH_replay.json`.
+/// Runs the telemetry gate and, when it passes, writes
+/// `BENCH_replay.json`.
 pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let parsed = args::parse(argv)?;
     args::forbid(&[
@@ -316,6 +224,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         (parsed.cache_dir.is_some(), "--cache"),
         (parsed.no_cache, "--no-cache"),
     ])?;
+    args::forbid(&args::sampling_flags(&parsed))?;
     args::configure_replay(&parsed)?;
     args::configure_metrics(&parsed);
 
@@ -353,86 +262,30 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             .collect()
     };
 
-    let warm_secs: Vec<(String, f64)> = MODES
-        .into_iter()
-        .map(|(label, batched)| {
-            let s = measure(fresh_sims, |sims| replay_all(&snaps, sims, batched));
-            (label.to_owned(), s)
-        })
-        .collect();
-    let warm_sweep = mode_rows(&warm_secs, insts);
-
-    // The delivery-bound case: a dynamically-composed fan-out (the
-    // sweep-engine / MultiTool shape). Per-event delivery pays one
-    // virtual transition per tool per instruction; batched delivery
-    // pays them once per block, and the branch-profiling tools then
-    // walk only the dense branch subset (~10% of events).
-    let fresh_pintools = || -> Vec<ToolSet<Box<dyn Pintool>>> {
-        snaps
-            .iter()
-            .map(|_| {
-                ToolSet::from_tools(vec![
-                    Box::new(BranchMixTool::new()) as Box<dyn Pintool>,
-                    Box::new(DirectionTool::new()),
-                    Box::new(BranchBiasTool::new()),
-                ])
-            })
-            .collect()
-    };
-    let pintool_secs: Vec<(String, f64)> = MODES
-        .into_iter()
-        .map(|(label, batched)| {
-            let s = measure(fresh_pintools, |tools| replay_all(&snaps, tools, batched));
-            (label.to_owned(), s)
-        })
-        .collect();
-    let pintools = mode_rows(&pintool_secs, insts);
-
-    // Sampled sweep: one plan per snapshot (untimed — planning is a
-    // per-roster one-off in real sweeps too), then replay only the
-    // weighted representatives.
-    let config = args::sampling_config(&parsed).unwrap_or_default();
-    let plans: Vec<SamplePlan> = snaps
-        .iter()
-        .map(|s| {
-            SamplePlan::from_snapshot(s, &mut BbvTool::new(config.dims), &config)
-                .map_err(|e| e.to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    let delivered: u64 = snaps
-        .iter()
-        .zip(&plans)
-        .map(|(s, p)| {
-            s.replay_sampled(&mut NullTool, p)
-                .expect("validated snapshot replays")
-                .delivered_instructions
-        })
-        .sum();
-    let secs = measure(fresh_sims, |sims| {
-        for ((snap, plan), set) in snaps.iter().zip(&plans).zip(sims.iter_mut()) {
-            snap.replay_sampled(set, plan)
-                .expect("validated snapshot replays");
-        }
-    });
-    let sampled_sweep = SampledRow {
-        delivered_fraction: delivered as f64 / insts as f64,
-        delivered_melem_per_s: delivered as f64 / secs / 1e6,
-        effective_melem_per_s: insts as f64 / secs / 1e6,
-    };
-
-    // Telemetry overhead: the same warm batched sweep in interleaved
-    // collection-off/on pairs (see `telemetry_pair`), each side
-    // repeating the sweep until it has run at least `MIN_PASS`. The
-    // gate is the upper confidence bound on the median pair overhead,
-    // so a noisy host widens the bound instead of flipping the verdict
-    // at random. The enabled runs also feed the per-stage breakdown
-    // below.
+    // Telemetry overhead: the warm batched sweep in interleaved
+    // collection-off/on pairs (see `telemetry_pair`). After one untimed
+    // warmup, calibration counts the sweeps that fill `MIN_PASS`; each
+    // side of every pair runs that many. The gate is the upper
+    // confidence bound on the median pair overhead, so a noisy host
+    // widens the bound instead of flipping the verdict at random. The
+    // enabled runs also feed the per-stage breakdown below.
     let was_enabled = telemetry::enabled();
     telemetry::set_enabled(false);
     let mut setup = fresh_sims;
-    let mut routine = |sims: &mut Vec<_>| replay_all(&snaps, sims, true);
-    let one_sweep = measure(&mut setup, &mut routine);
-    let sweeps_per_pass = (MIN_PASS.as_secs_f64() / one_sweep).ceil().max(1.0) as u32;
+    let mut routine = |sims: &mut Vec<_>| {
+        for (snap, set) in snaps.iter().zip(sims) {
+            snap.replay(set).expect("validated snapshot replays");
+        }
+    };
+    routine(&mut setup());
+    let (mut sweeps_per_pass, mut calibration) = (0u32, Duration::ZERO);
+    while calibration < MIN_PASS {
+        let mut input = setup();
+        let start = Instant::now();
+        routine(&mut input);
+        calibration += start.elapsed();
+        sweeps_per_pass += 1;
+    }
     let mut overheads = Vec::with_capacity(TELEMETRY_PAIRS);
     let (mut disabled, mut enabled) = (Vec::new(), Vec::new());
     for pair in 0..TELEMETRY_PAIRS {
@@ -474,42 +327,18 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         batch_capacity: batch_capacity(),
         workloads: names,
         total_instructions: insts,
-        warm_sweep,
-        pintools,
-        sampled_sweep,
         telemetry: telemetry_group,
     };
     let dir = parsed.json_dir.as_deref().unwrap_or(".");
     crate::write_json(dir, "BENCH_replay", &json)?;
 
-    let mut t = TextTable::new(vec!["group", "mode", "Melem/s", "vs per_event"]);
-    for (group, rows) in [
-        ("warm_sweep", &json.warm_sweep),
-        ("pintools", &json.pintools),
-    ] {
-        for r in rows {
-            t.row(vec![
-                group.to_owned(),
-                r.mode.clone(),
-                f2(r.melem_per_s),
-                format!("{}x", f2(r.speedup_vs_per_event)),
-            ]);
-        }
-    }
+    let mut t = TextTable::new(vec!["telemetry", "Melem/s", "vs disabled"]);
     t.row(vec![
-        "sampled_sweep".to_owned(),
-        "batched".to_owned(),
-        f2(json.sampled_sweep.delivered_melem_per_s),
-        format!("{} effective", f2(json.sampled_sweep.effective_melem_per_s)),
-    ]);
-    t.row(vec![
-        "telemetry".to_owned(),
         "disabled".to_owned(),
         f2(insts as f64 / json.telemetry.disabled_secs / 1e6),
         "baseline".to_owned(),
     ]);
     t.row(vec![
-        "telemetry".to_owned(),
         "enabled".to_owned(),
         f2(insts as f64 / json.telemetry.enabled_secs / 1e6),
         format!(
@@ -518,7 +347,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         ),
     ]);
     crate::print_ignoring_pipe(&format!(
-        "replay throughput ({} events over {} workload(s), scale {}, batch {})\n{}wrote {}/BENCH_replay.json\n",
+        "telemetry overhead gate ({} events over {} workload(s), scale {}, batch {})\n{}wrote {}/BENCH_replay.json\n",
         insts,
         json.workloads.len(),
         json.scale,
@@ -533,6 +362,15 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sampling_flags_are_rejected_before_any_work() {
+        for flag in ["--sample", "--sample-k"] {
+            let argv = [flag.to_owned(), "4".to_owned()];
+            let err = run(&argv).expect_err("sampling flags are not supported");
+            assert_eq!(err, format!("{flag} is not supported by this subcommand"));
+        }
+    }
 
     #[test]
     fn binomial_half_cdf_matches_closed_forms() {

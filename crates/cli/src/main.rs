@@ -74,9 +74,9 @@ fn usage() -> ExitCode {
          \x20 phases [--workloads A,B,...] [--suite S] [--scale S] [--sample N] [--sample-k K] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
          \x20     print each workload's phase-cluster map and per-cluster weights\n\
          \x20 paper [EXHIBIT...|all] [--suite S] [--scale S] [--model M] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
-         \x20     regenerate the paper's figures/tables (see `repro`) through the cache\n\
+         \x20     regenerate the paper's figures/tables through the cache\n\
          \x20 bench [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--batch-size N]\n\
-         \x20     measure replay throughput (per event vs batched) and the telemetry overhead gate,\n\
+         \x20     gate the telemetry overhead of a warm batched sweep (interleaved off/on pairs),\n\
          \x20     write BENCH_replay.json (into --json DIR, else the working directory)\n\
          \n\
          scales: smoke | quick | full | <positive factor>   (default: smoke)\n\

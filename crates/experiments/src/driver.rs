@@ -1,6 +1,5 @@
-//! The exhibit driver shared by the `repro` binary and the `rebalance
-//! paper` subcommand: name → regenerator dispatch, scale parsing, and
-//! optional JSON dumping.
+//! The exhibit driver behind the `rebalance paper` subcommand: name →
+//! regenerator dispatch, scale parsing, and optional JSON dumping.
 
 use std::io::{self, Write};
 use std::path::Path;

@@ -15,11 +15,11 @@
 //! | [`fetchsim`] | decoupled front-end (FTQ + FDIP) design grid |
 //! | [`sampling`] | phase-sampled vs full-replay error validation |
 //!
-//! The `repro` binary drives them:
+//! The `rebalance paper` subcommand drives them through [`driver`]:
 //!
 //! ```text
-//! repro all --scale quick
-//! repro fig5 table3 --scale full --json results/
+//! rebalance paper all --scale quick
+//! rebalance paper fig5 table3 --scale full --json results/
 //! ```
 //!
 //! # Examples

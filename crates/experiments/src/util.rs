@@ -17,8 +17,8 @@ use rebalance_pintools::{
     characterization_from_tools, characterization_tools, BbvTool, Characterization,
 };
 use rebalance_trace::{
-    CacheStats, Pintool, Report, RunSummary, SampledOutcome, SamplingConfig, SweepEngine,
-    SweepOutcome, TraceCache,
+    Pintool, Report, RunSummary, SampledOutcome, SamplingConfig, SweepEngine, SweepOutcome,
+    TraceCache,
 };
 use rebalance_workloads::{Scale, Suite, Workload};
 
@@ -140,43 +140,11 @@ pub fn shared_cache() -> Option<&'static TraceCache> {
 }
 
 /// Replay and cache accounting for everything run through [`engine`]
-/// so far — the one report the CLI and benches print.
+/// so far — the one report the CLI prints.
 pub fn sweep_report() -> Report {
     let report = engine().report();
     match shared_cache() {
         Some(cache) => report.with_cache(cache),
-        None => report,
-    }
-}
-
-/// A point-in-time baseline of the process-wide accounting ledgers
-/// (replay count and cache counters — both cumulative over the
-/// process). Capture one before a sweep and render the sweep-scoped
-/// report with [`sweep_report_since`], so a second sweep in the same
-/// process does not inherit the first one's traffic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReportBaseline {
-    replays: u64,
-    cache: CacheStats,
-}
-
-/// Snapshots the current process-wide ledgers as a baseline.
-pub fn report_baseline() -> ReportBaseline {
-    ReportBaseline {
-        replays: engine().replays(),
-        cache: shared_cache().map(TraceCache::stats).unwrap_or_default(),
-    }
-}
-
-/// Replay and cache accounting for everything run through [`engine`]
-/// since `base` — the per-sweep variant of [`sweep_report`].
-pub fn sweep_report_since(base: &ReportBaseline) -> Report {
-    let report = Report {
-        replays: engine().replays() - base.replays,
-        ..Report::default()
-    };
-    match shared_cache() {
-        Some(cache) => report.with_cache_stats(cache.stats().since(&base.cache)),
         None => report,
     }
 }

@@ -49,13 +49,6 @@ impl Report {
         self
     }
 
-    /// Attaches already-snapshotted cache counters (e.g. a
-    /// [`CacheStats::since`] delta).
-    pub fn with_cache_stats(mut self, stats: CacheStats) -> Self {
-        self.cache = Some(stats);
-        self
-    }
-
     /// Trace generations performed: with a cache this is the cache's
     /// generation counter; without one every replay generated.
     pub fn generations(&self) -> u64 {
@@ -97,12 +90,12 @@ mod tests {
 
     #[test]
     fn cached_report_uses_cache_generations() {
-        let r = Report {
+        let mut r = Report {
             replays: 41,
             ..Report::default()
         };
         assert_eq!(r.generations(), 41);
-        let r = r.with_cache_stats(CacheStats {
+        r.cache = Some(CacheStats {
             hits: 38,
             misses: 3,
             generations: 3,

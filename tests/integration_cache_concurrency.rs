@@ -1,15 +1,9 @@
 //! Concurrency guarantees of the shared on-disk trace cache, which
-//! separate `rebalance` processes may use at the same time:
-//!
-//! 1. the **torture test**: many threads hammer one shared on-disk
-//!    [`TraceCache`] with overlapping rosters — nothing corrupts,
-//!    nothing is rejected, every distinct key is generated exactly
-//!    once (single-flight), and the merged analysis results are
-//!    byte-identical to a single-threaded pass;
-//! 2. the **ledger regression**: two sweeps in one process each get a
-//!    report scoped to their own replays via
-//!    [`util::report_baseline`]/[`util::sweep_report_since`], instead
-//!    of the second inheriting the first's cumulative traffic.
+//! separate `rebalance` processes may use at the same time: many
+//! threads hammer one shared [`TraceCache`] with overlapping rosters —
+//! nothing corrupts, nothing is rejected, every distinct key is
+//! generated exactly once (single-flight), and the merged analysis
+//! results are byte-identical to a single-threaded pass.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
@@ -17,13 +11,13 @@ use std::sync::{Arc, Barrier};
 use rebalance_trace::{Pintool, TraceCache, TraceEvent};
 use rebalance_workloads::Scale;
 
-/// The six-workload bench roster: distinct suites, distinct trace
-/// shapes, and small enough that 8 threads x 2 rounds stays fast.
+/// Six workloads: distinct suites, distinct trace shapes, and small
+/// enough that 8 threads x 2 rounds stays fast.
 const ROSTER: [&str; 6] = ["CG", "FT", "MG", "gcc", "CoMD", "swim"];
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir =
-        std::env::temp_dir().join(format!("rebalance-shard-test-{tag}-{}", std::process::id()));
+        std::env::temp_dir().join(format!("rebalance-cache-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -135,36 +129,4 @@ fn concurrent_torture_matches_single_process_byte_for_byte() {
 
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn second_sweep_report_covers_only_its_own_replays() {
-    use rebalance_experiments::util;
-
-    // Only this test in the binary sweeps through the process-wide
-    // engine, so the replay ledger moves only for its own sweeps.
-    let one = |name: &str| vec![rebalance_workloads::find(name).expect("roster workload")];
-    let tools = |_: &rebalance_workloads::Workload| vec![Digest::default()];
-
-    // First sweep: one workload.
-    let base0 = util::report_baseline();
-    let a = util::sweep(one("CG"), Scale::Smoke, tools);
-    let first = util::sweep_report_since(&base0);
-    assert_eq!(first.replays, 1);
-
-    // Second sweep, same process: two workloads. Its report must cover
-    // exactly its own replays — the pre-fix cumulative ledgers made it
-    // inherit the first sweep's traffic too.
-    let base1 = util::report_baseline();
-    let mut b = util::sweep(one("FT"), Scale::Smoke, tools);
-    b.extend(util::sweep(one("MG"), Scale::Smoke, tools));
-    let second = util::sweep_report_since(&base1);
-    assert_eq!(second.replays, 2, "second report counts only its sweep");
-    assert_eq!(b.len(), 2);
-
-    // And the two scoped reports add up to the span since the start.
-    let cumulative = util::sweep_report_since(&base0);
-    assert_eq!(cumulative.replays, 3);
-    assert_eq!(a.len(), 1);
-    assert_eq!(a[0].tools[0].instructions, a[0].summary.instructions);
 }
