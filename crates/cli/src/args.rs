@@ -24,9 +24,6 @@ pub struct Parsed {
     pub force: bool,
     /// `--json DIR`.
     pub json_dir: Option<String>,
-    /// `--batch-size N` (events per delivery block; default
-    /// [`rebalance_trace::DEFAULT_BATCH_CAPACITY`]).
-    pub batch_size: Option<usize>,
     /// `--model {penalty,ftq}` (CPI timing backend).
     pub model: Option<FetchModelKind>,
     /// `--sample N` (slice each replay into N intervals and replay one
@@ -86,20 +83,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
                 parsed
                     .positional
                     .push(it.next().ok_or("--workloads needs a name list")?.clone());
-            }
-            "--batch-size" => {
-                let v = it.next().ok_or("--batch-size needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| (1..=rebalance_trace::MAX_BATCH_CAPACITY).contains(&n))
-                    .ok_or_else(|| {
-                        format!(
-                            "invalid batch size `{v}` (expected 1..={})",
-                            rebalance_trace::MAX_BATCH_CAPACITY
-                        )
-                    })?;
-                parsed.batch_size = Some(n);
             }
             "--model" => {
                 let v = it.next().ok_or("--model needs a value")?;
@@ -224,22 +207,6 @@ pub fn configure_cache_env(parsed: &Parsed) {
     }
 }
 
-/// Applies the replay hot-path knob `--batch-size` through the
-/// explicit capacity setter (which takes precedence over
-/// `REBALANCE_BATCH` and turns a too-late conflicting set into a clean
-/// error instead of a silently ignored flag). Must run early in each
-/// subcommand, before the first replay.
-///
-/// # Errors
-///
-/// The capacity was already latched to a different value.
-pub fn configure_replay(parsed: &Parsed) -> Result<(), String> {
-    if let Some(n) = parsed.batch_size {
-        rebalance_trace::set_batch_capacity(n).map_err(|e| format!("--batch-size: {e}"))?;
-    }
-    Ok(())
-}
-
 /// The sampling configuration implied by `--sample`/`--sample-k`:
 /// `None` when neither flag was given, otherwise the default geometry
 /// with the given knobs overridden (either flag alone implies the
@@ -259,8 +226,8 @@ pub fn sampling_config(parsed: &Parsed) -> Option<rebalance_trace::SamplingConfi
 }
 
 /// Latches `--sample`/`--sample-k` into the process-wide sampling
-/// switch every weighted sweep consults. Like the cache and batch
-/// knobs, must run before the first replay.
+/// switch every weighted sweep consults. Like the cache knob, must run
+/// before the first replay.
 pub fn configure_sampling(parsed: &Parsed) {
     if let Some(cfg) = sampling_config(parsed) {
         rebalance_experiments::util::set_sampling(Some(cfg));
@@ -333,19 +300,6 @@ mod tests {
         assert_eq!(parse(&argv(&[])).unwrap().model, None);
         assert!(parse(&argv(&["--model"])).is_err());
         assert!(parse(&argv(&["--model", "sniper"])).is_err());
-    }
-
-    #[test]
-    fn parses_batch_size() {
-        let p = parse(&argv(&["--batch-size", "512"])).unwrap();
-        assert_eq!(p.batch_size, Some(512));
-        assert_eq!(parse(&argv(&[])).unwrap().batch_size, None);
-        assert!(parse(&argv(&["--batch-size"])).is_err());
-        assert!(parse(&argv(&["--batch-size", "0"])).is_err());
-        assert!(parse(&argv(&["--batch-size", "many"])).is_err());
-        // Positions are u32-indexed; oversized capacities are a clean
-        // CLI error, not a panic deep in replay.
-        assert!(parse(&argv(&["--batch-size", "4294967296"])).is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use rebalance_experiments::util::{f2, TextTable};
 use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::PredictorChoice;
 use rebalance_telemetry::{self as telemetry, SpanNode};
-use rebalance_trace::{batch_capacity, snapshot, Snapshot, ToolSet};
+use rebalance_trace::{snapshot, Snapshot, ToolSet, BATCH_CAPACITY};
 use serde::Serialize;
 
 use crate::args;
@@ -73,7 +73,8 @@ struct HostJson {
 struct TelemetryJson {
     /// Off/on pairs timed.
     pairs: usize,
-    /// Sweeps per side of each pair (enough for [`MIN_PASS`]).
+    /// Fewest sweeps per side of any pair (each side runs until it has
+    /// summed [`MIN_PASS`]).
     sweeps_per_pass: u32,
     /// Median seconds per sweep, collection off.
     disabled_secs: f64,
@@ -148,26 +149,31 @@ fn host() -> HostJson {
     }
 }
 
-/// One interleaved collection-off/on pair: `sweeps` timed runs of
-/// `routine` per side, alternating sides run by run (the side that
-/// goes first alternates with `pair`), each run over a fresh untimed
-/// `setup()` input. Returns the pair's overhead in percent — the median
-/// of `on/off - 1` over adjacent runs, which sit milliseconds apart, so
-/// host speed drift cancels — plus every run's seconds per side.
+/// One interleaved collection-off/on pair: timed runs of `routine`
+/// alternating sides (the side that goes first alternates with
+/// `pair`), each over a fresh input from the untimed `setup(on)`, which
+/// also switches collection for its side, until both sides have summed
+/// at least [`MIN_PASS`]. Runs go in off/on twos, so both sides hold the
+/// same count however the host speed drifts. Returns
+/// the pair's overhead in percent — the median of `on/off - 1` over
+/// adjacent runs, which sit milliseconds apart, so host speed drift
+/// cancels — plus every run's seconds per side.
 fn telemetry_pair<T>(
     pair: usize,
-    sweeps: u32,
-    setup: &mut impl FnMut() -> T,
+    setup: &mut impl FnMut(bool) -> T,
     routine: &mut impl FnMut(&mut T),
 ) -> (f64, [Vec<f64>; 2]) {
-    let mut runs = [Vec::new(), Vec::new()];
-    for i in 0..2 * sweeps as usize {
-        let on = (i + pair) % 2 == 1;
-        telemetry::set_enabled(on);
-        let mut input = setup();
-        let start = Instant::now();
-        routine(&mut input);
-        runs[usize::from(on)].push(start.elapsed().as_secs_f64());
+    let mut runs: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    while runs
+        .iter()
+        .any(|side| side.iter().sum::<f64>() < MIN_PASS.as_secs_f64())
+    {
+        for on in [pair % 2 == 1, pair.is_multiple_of(2)] {
+            let mut input = setup(on);
+            let start = Instant::now();
+            routine(&mut input);
+            runs[usize::from(on)].push(start.elapsed().as_secs_f64());
+        }
     }
     let [off, on] = &runs;
     let ratios: Vec<f64> = on.iter().zip(off).map(|(on, off)| on / off).collect();
@@ -225,7 +231,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         (parsed.no_cache, "--no-cache"),
     ])?;
     args::forbid(&args::sampling_flags(&parsed))?;
-    args::configure_replay(&parsed)?;
     args::configure_metrics(&parsed);
 
     let workloads = if parsed.positional.is_empty() && !parsed.all && parsed.suite.is_none() {
@@ -263,33 +268,29 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     };
 
     // Telemetry overhead: the warm batched sweep in interleaved
-    // collection-off/on pairs (see `telemetry_pair`). After one untimed
-    // warmup, calibration counts the sweeps that fill `MIN_PASS`; each
-    // side of every pair runs that many. The gate is the upper
+    // collection-off/on pairs (see `telemetry_pair`), after one untimed
+    // warmup; each side of every pair runs for at least `MIN_PASS`,
+    // however the host speed drifts within the pair. The gate is the upper
     // confidence bound on the median pair overhead, so a noisy host
     // widens the bound instead of flipping the verdict at random. The
     // enabled runs also feed the per-stage breakdown below.
     let was_enabled = telemetry::enabled();
-    telemetry::set_enabled(false);
-    let mut setup = fresh_sims;
+    let mut setup = |on| {
+        telemetry::set_enabled(on);
+        fresh_sims()
+    };
     let mut routine = |sims: &mut Vec<_>| {
         for (snap, set) in snaps.iter().zip(sims) {
             snap.replay(set).expect("validated snapshot replays");
         }
     };
-    routine(&mut setup());
-    let (mut sweeps_per_pass, mut calibration) = (0u32, Duration::ZERO);
-    while calibration < MIN_PASS {
-        let mut input = setup();
-        let start = Instant::now();
-        routine(&mut input);
-        calibration += start.elapsed();
-        sweeps_per_pass += 1;
-    }
+    routine(&mut setup(false));
+    let mut sweeps_per_pass = u32::MAX;
     let mut overheads = Vec::with_capacity(TELEMETRY_PAIRS);
     let (mut disabled, mut enabled) = (Vec::new(), Vec::new());
     for pair in 0..TELEMETRY_PAIRS {
-        let (overhead, [off, on]) = telemetry_pair(pair, sweeps_per_pass, &mut setup, &mut routine);
+        let (overhead, [off, on]) = telemetry_pair(pair, &mut setup, &mut routine);
+        sweeps_per_pass = sweeps_per_pass.min(off.len() as u32);
         overheads.push(overhead);
         disabled.extend(off);
         enabled.extend(on);
@@ -324,7 +325,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let json = BenchJson {
         host: host(),
         scale: parsed.scale.to_string(),
-        batch_capacity: batch_capacity(),
+        batch_capacity: BATCH_CAPACITY,
         workloads: names,
         total_instructions: insts,
         telemetry: telemetry_group,
@@ -369,6 +370,30 @@ mod tests {
             let argv = [flag.to_owned(), "4".to_owned()];
             let err = run(&argv).expect_err("sampling flags are not supported");
             assert_eq!(err, format!("{flag} is not supported by this subcommand"));
+        }
+    }
+
+    #[test]
+    fn pair_sides_reach_min_pass_when_the_host_speeds_up() {
+        // The first runs are slow, the rest ten times faster: a run
+        // count fixed from the slow runs would leave both sides short.
+        let mut runs = 0u32;
+        let mut setup = |_| ();
+        let mut routine = |_: &mut ()| {
+            runs += 1;
+            let ms = if runs <= 4 { 20 } else { 2 };
+            std::thread::sleep(Duration::from_millis(ms));
+        };
+        for pair in 0..2 {
+            let (_, [off, on]) = telemetry_pair(pair, &mut setup, &mut routine);
+            assert_eq!(off.len(), on.len(), "pair {pair}: runs pair up");
+            for side in [&off, &on] {
+                let total: f64 = side.iter().sum();
+                assert!(
+                    total >= MIN_PASS.as_secs_f64(),
+                    "pair {pair}: a side ran {total:.3}s, under MIN_PASS"
+                );
+            }
         }
     }
 

@@ -27,7 +27,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     ])?;
     let workloads = args::resolve_workloads(&parsed.positional, parsed.all, parsed.suite)?;
     args::configure_cache_env(&parsed);
-    args::configure_replay(&parsed)?;
     args::configure_sampling(&parsed);
     args::configure_metrics(&parsed);
 

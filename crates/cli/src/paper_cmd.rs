@@ -19,7 +19,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         (parsed.all, "--all (use the `all` exhibit name)"),
     ])?;
     args::configure_cache_env(&parsed);
-    args::configure_replay(&parsed)?;
     args::configure_sampling(&parsed);
     args::configure_metrics(&parsed);
     // Both knobs latch process-wide state the exhibits consult; set

@@ -70,7 +70,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     args::forbid(&args::metrics_flag(&parsed))?;
     let workloads = args::resolve_workloads(&parsed.positional, parsed.all, parsed.suite)?;
     args::configure_cache_env(&parsed);
-    args::configure_replay(&parsed)?;
     let config = args::sampling_config(&parsed).unwrap_or_default();
 
     let outcomes = util::sweep_sampled(&config, workloads, parsed.scale, |_| Vec::<BbvTool>::new());

@@ -84,10 +84,8 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let workloads = args::resolve_workloads(&parsed.positional, parsed.all, parsed.suite)?;
     // The experiments crate opens its process-wide cache from the
     // environment on first use; this routes every replay below through
-    // the on-disk cache (or explicitly disables it). The batch size is
-    // latched the same way, before the first replay.
+    // the on-disk cache (or explicitly disables it).
     args::configure_cache_env(&parsed);
-    args::configure_replay(&parsed)?;
     args::configure_sampling(&parsed);
     args::configure_metrics(&parsed);
 

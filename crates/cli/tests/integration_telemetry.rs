@@ -33,10 +33,9 @@ fn run(args: &[&str]) -> String {
         .args(args)
         // Pin the cache per invocation — an override inherited from
         // the harness environment must not leak into either run.
-        // REBALANCE_BATCH and REBALANCE_METRICS are deliberately passed
-        // through: CI reruns this test at both batch-size extremes with
-        // the env latch set, and the checks must hold under all of
-        // them.
+        // REBALANCE_METRICS is deliberately passed through: CI reruns
+        // this test with the env latch set, and the checks must hold
+        // either way.
         .env_remove("REBALANCE_TRACE_CACHE")
         .output()
         .expect("spawn rebalance");

@@ -104,22 +104,6 @@ pub fn sampling() -> Option<SamplingConfig> {
     )
 }
 
-/// The cache sampled sweeps draw snapshot bytes from: the shared cache
-/// when `REBALANCE_TRACE_CACHE` is set, else a process-lifetime scratch
-/// directory under the system temp dir (sampling needs a recorded
-/// snapshot to slice, so it always snapshots — pointing the env var at
-/// a persistent directory makes warm sampled sweeps skip generation
-/// entirely).
-pub fn sampling_cache() -> &'static TraceCache {
-    match shared_cache() {
-        Some(cache) => cache,
-        None => {
-            static SCRATCH: OnceLock<TraceCache> = OnceLock::new();
-            SCRATCH.get_or_init(|| TraceCache::scratch().expect("temp dir must be writable"))
-        }
-    }
-}
-
 /// The process-wide sweep engine all experiments share.
 pub fn engine() -> &'static SweepEngine {
     static ENGINE: OnceLock<SweepEngine> = OnceLock::new();
@@ -182,6 +166,10 @@ where
 /// trace's weighted representative intervals under `config` — the
 /// phase-sampled sibling of [`sweep`]. Tools must be weight-aware
 /// ([`Pintool::supports_sampled_replay`]).
+///
+/// Sampling slices a recorded snapshot, so without a shared cache the
+/// snapshots go to a [`TraceCache::temporary`] cache removed when the
+/// sweep returns (set [`TRACE_CACHE_ENV`] to keep them for warm runs).
 pub fn sweep_sampled<T, ToolsFn>(
     config: &SamplingConfig,
     workloads: Vec<Workload>,
@@ -193,9 +181,17 @@ where
     ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
 {
     let dims = config.dims;
+    let temporary;
+    let cache = match shared_cache() {
+        Some(cache) => cache,
+        None => {
+            temporary = TraceCache::temporary().expect("temp dir must be writable");
+            &temporary
+        }
+    };
     engine()
         .sweep_sampled(
-            sampling_cache(),
+            cache,
             config,
             workloads,
             |w| w.trace_key(scale),

@@ -33,7 +33,6 @@
 //! N-tool fan-out performs `N × (events / capacity)` virtual transitions
 //! instead of `N × events`.
 
-use std::fmt;
 use std::sync::OnceLock;
 
 use rebalance_telemetry as telemetry;
@@ -44,121 +43,18 @@ use crate::exec::RunSummary;
 use crate::observer::Pintool;
 use crate::section::Section;
 
-/// Default number of events per batch when [`BATCH_ENV`] is unset.
+/// Number of events per delivery block.
 ///
 /// 4096 events × ~40 bytes keep a block comfortably inside L2 while
-/// amortizing per-batch bookkeeping to noise.
-pub const DEFAULT_BATCH_CAPACITY: usize = 4096;
-
-/// Environment variable overriding the default batch capacity
-/// (`REBALANCE_BATCH=1` degenerates to per-event-sized blocks — useful
-/// for equivalence smoke tests). Values outside
-/// `1..=`[`MAX_BATCH_CAPACITY`] (or unparsable ones) fall back to
-/// [`DEFAULT_BATCH_CAPACITY`]. Read once per process.
-pub const BATCH_ENV: &str = "REBALANCE_BATCH";
+/// amortizing per-batch bookkeeping to noise. Delivery is
+/// capacity-independent by contract, so the block size is fixed; the
+/// equivalence oracles drive other capacities explicitly through
+/// [`EventBatch::with_capacity`].
+pub const BATCH_CAPACITY: usize = 4096;
 
 /// Largest accepted batch capacity: batch positions are stored as
 /// `u32`, so capacities must stay indexable by one.
 pub const MAX_BATCH_CAPACITY: usize = u32::MAX as usize;
-
-static CAPACITY: OnceLock<usize> = OnceLock::new();
-
-/// Parses a [`BATCH_ENV`]-style capacity spelling: an integer in
-/// `1..=`[`MAX_BATCH_CAPACITY`]. Zero, out-of-range, and unparsable
-/// values yield `None` (the caller falls back to
-/// [`DEFAULT_BATCH_CAPACITY`]).
-pub fn parse_batch_capacity(value: &str) -> Option<usize> {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| (1..=MAX_BATCH_CAPACITY).contains(&n))
-}
-
-/// The process-wide batch capacity: the value installed by
-/// [`set_batch_capacity`] if it ran before first use, else [`BATCH_ENV`]
-/// when set to an integer in `1..=`[`MAX_BATCH_CAPACITY`], otherwise
-/// [`DEFAULT_BATCH_CAPACITY`]. Latched on first call.
-pub fn batch_capacity() -> usize {
-    *CAPACITY.get_or_init(|| {
-        std::env::var(BATCH_ENV)
-            .ok()
-            .as_deref()
-            .and_then(parse_batch_capacity)
-            .unwrap_or(DEFAULT_BATCH_CAPACITY)
-    })
-}
-
-/// Why [`set_batch_capacity`] refused a capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchCapacityError {
-    /// The requested capacity is outside `1..=`[`MAX_BATCH_CAPACITY`].
-    OutOfRange {
-        /// The rejected value.
-        requested: usize,
-    },
-    /// [`batch_capacity`] already latched a *different* value — some
-    /// code consumed the capacity before the caller configured it, the
-    /// exact silent disagreement this API exists to surface. (Setting
-    /// the already-latched value again is accepted.)
-    AlreadyLatched {
-        /// The value the caller asked for.
-        requested: usize,
-        /// The value the process is latched to.
-        latched: usize,
-    },
-}
-
-impl fmt::Display for BatchCapacityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BatchCapacityError::OutOfRange { requested } => write!(
-                f,
-                "batch capacity must be in 1..={MAX_BATCH_CAPACITY}, got {requested}"
-            ),
-            BatchCapacityError::AlreadyLatched { requested, latched } => write!(
-                f,
-                "batch capacity already latched to {latched}; cannot change it to {requested} \
-                 (call set_batch_capacity before the first batch_capacity use)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BatchCapacityError {}
-
-/// Installs the process-wide batch capacity **before first use**,
-/// taking precedence over [`BATCH_ENV`]. This is how the CLI's
-/// `--batch-size` flag configures the capacity without racing the
-/// read-once env latch: an explicit set that arrives too late fails
-/// loudly instead of being silently ignored.
-///
-/// # Errors
-///
-/// [`BatchCapacityError::OutOfRange`] for a capacity outside
-/// `1..=`[`MAX_BATCH_CAPACITY`];
-/// [`BatchCapacityError::AlreadyLatched`] if [`batch_capacity`] already
-/// latched a different value.
-pub fn set_batch_capacity(capacity: usize) -> Result<(), BatchCapacityError> {
-    if !(1..=MAX_BATCH_CAPACITY).contains(&capacity) {
-        return Err(BatchCapacityError::OutOfRange {
-            requested: capacity,
-        });
-    }
-    match CAPACITY.set(capacity) {
-        Ok(()) => Ok(()),
-        Err(_) => {
-            let latched = *CAPACITY.get().expect("set failed, so the cell is full");
-            if latched == capacity {
-                Ok(())
-            } else {
-                Err(BatchCapacityError::AlreadyLatched {
-                    requested: capacity,
-                    latched,
-                })
-            }
-        }
-    }
-}
 
 /// Cached telemetry counter for flushed batches (`replay.batches`).
 fn flush_tele() -> &'static telemetry::Counter {
@@ -281,9 +177,9 @@ pub struct EventBatch {
 }
 
 impl Default for EventBatch {
-    /// An empty batch at the process-wide [`batch_capacity`]. Buffers
-    /// are not pre-allocated; they grow on first use and are retained
-    /// across [`EventBatch::clear`], so a reused batch allocates once.
+    /// An empty batch at [`BATCH_CAPACITY`]. Buffers are not
+    /// pre-allocated; they grow on first use and are retained across
+    /// [`EventBatch::clear`], so a reused batch allocates once.
     fn default() -> Self {
         EventBatch {
             events: Vec::new(),
@@ -292,14 +188,14 @@ impl Default for EventBatch {
             sections: BySection::default(),
             branch_count: 0,
             taken_branches: 0,
-            capacity: batch_capacity(),
+            capacity: BATCH_CAPACITY,
         }
     }
 }
 
 impl EventBatch {
-    /// An empty batch at the process-wide [`batch_capacity`], buffers
-    /// allocated lazily on first push.
+    /// An empty batch at [`BATCH_CAPACITY`], buffers allocated lazily
+    /// on first push.
     pub fn new() -> Self {
         Self::default()
     }
@@ -623,50 +519,7 @@ mod tests {
 
     #[test]
     fn default_capacity_is_positive() {
-        assert!(batch_capacity() > 0);
-        assert_eq!(EventBatch::new().capacity(), batch_capacity());
-    }
-
-    #[test]
-    fn capacity_parsing_edges() {
-        assert_eq!(parse_batch_capacity("0"), None, "zero is rejected");
-        assert_eq!(parse_batch_capacity("1"), Some(1));
-        assert_eq!(parse_batch_capacity("4096"), Some(4096));
-        assert_eq!(
-            parse_batch_capacity(&MAX_BATCH_CAPACITY.to_string()),
-            Some(MAX_BATCH_CAPACITY),
-            "the maximum itself is accepted"
-        );
-        assert_eq!(
-            parse_batch_capacity(&(MAX_BATCH_CAPACITY + 1).to_string()),
-            None,
-            "one past the maximum falls back"
-        );
-        assert_eq!(parse_batch_capacity("banana"), None);
-        assert_eq!(parse_batch_capacity(""), None);
-        assert_eq!(parse_batch_capacity("-1"), None);
-        assert_eq!(parse_batch_capacity("4096.0"), None);
-    }
-
-    #[test]
-    fn set_batch_capacity_rejects_out_of_range_without_latching() {
-        assert_eq!(
-            set_batch_capacity(0),
-            Err(BatchCapacityError::OutOfRange { requested: 0 })
-        );
-        assert_eq!(
-            set_batch_capacity(MAX_BATCH_CAPACITY + 1),
-            Err(BatchCapacityError::OutOfRange {
-                requested: MAX_BATCH_CAPACITY + 1
-            })
-        );
-        let msg = BatchCapacityError::OutOfRange { requested: 0 }.to_string();
-        assert!(msg.contains("must be in 1..="), "{msg}");
-        let msg = BatchCapacityError::AlreadyLatched {
-            requested: 7,
-            latched: 9,
-        }
-        .to_string();
-        assert!(msg.contains("latched to 9"), "{msg}");
+        assert!(EventBatch::new().capacity() > 0);
+        assert_eq!(EventBatch::new().capacity(), BATCH_CAPACITY);
     }
 }

@@ -53,7 +53,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -64,7 +64,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::by_section::BySection;
 use crate::exec::RunSummary;
-use crate::observer::Pintool;
+use crate::observer::{NullTool, Pintool};
 use crate::schedule::SyntheticTrace;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotInfo, SnapshotWriter};
 
@@ -419,6 +419,16 @@ pub struct TraceCache {
     /// keyed by [`TraceKey::fingerprint`]. Bounded by the number of
     /// distinct keys ever missed, which a sweep already enumerates.
     inflight: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    /// Remove `dir` on drop ([`TraceCache::temporary`]).
+    owns_dir: bool,
+}
+
+impl Drop for TraceCache {
+    fn drop(&mut self) {
+        if self.owns_dir {
+            let _ = fs::remove_dir_all(&self.dir);
+        }
+    }
 }
 
 impl TraceCache {
@@ -436,6 +446,7 @@ impl TraceCache {
             dir,
             counters: Counters::default(),
             inflight: Mutex::new(HashMap::new()),
+            owns_dir: false,
         };
         cache.sweep_orphans();
         Ok(cache)
@@ -443,7 +454,8 @@ impl TraceCache {
 
     /// A cache in a fresh unique directory under the system temp dir —
     /// for tests and benches. The caller owns cleanup
-    /// (`std::fs::remove_dir_all(cache.dir())`).
+    /// (`std::fs::remove_dir_all(cache.dir())`); see
+    /// [`TraceCache::temporary`] for a cache that cleans up after itself.
     ///
     /// # Errors
     ///
@@ -454,6 +466,19 @@ impl TraceCache {
         let dir =
             std::env::temp_dir().join(format!("rebalance-trace-cache-{}-{n}", std::process::id()));
         TraceCache::new(dir)
+    }
+
+    /// A [`TraceCache::scratch`] cache that owns its directory: the
+    /// directory and every snapshot in it are removed when the cache
+    /// is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Propagates directory-creation failures.
+    pub fn temporary() -> io::Result<Self> {
+        let mut cache = TraceCache::scratch()?;
+        cache.owns_dir = true;
+        Ok(cache)
     }
 
     /// The cache's root directory.
@@ -496,8 +521,7 @@ impl TraceCache {
             return;
         }
         let ns = waited.as_nanos() as u64;
-        self.counters.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
-        tele().lock_wait_ns.add(ns);
+        count(&self.counters.lock_wait_ns, &tele().lock_wait_ns, ns);
         tele().lock_wait_hist.observe(ns);
     }
 
@@ -513,9 +537,8 @@ impl TraceCache {
         key: &TraceKey,
         trace: &SyntheticTrace,
     ) -> Result<SnapshotInfo, CacheError> {
-        let mut writer = self.start_recording(key)?;
-        trace.replay(&mut writer.snapshot);
-        let info = writer.commit(self)?;
+        let (bytes, info, _) = encode(key, trace, &mut NullTool)?;
+        self.commit(key, &bytes)?;
         Ok(info)
     }
 
@@ -554,110 +577,24 @@ impl TraceCache {
         T: Pintool + ?Sized,
         F: FnOnce() -> Result<SyntheticTrace, String>,
     {
-        let path = self.path_for(key);
-        if let Ok(bytes) = fs::read(&path) {
-            match Snapshot::parse(&bytes) {
-                Ok(snapshot) => {
-                    let summary = snapshot.replay(tool)?;
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .bytes_read
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    tele().hits.incr();
-                    tele().bytes_read.add(bytes.len() as u64);
-                    return Ok(CachedReplay {
-                        summary,
-                        sections: snapshot.info().sections,
-                        from_cache: true,
-                    });
-                }
-                Err(_) => {
-                    self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    tele().rejected.incr();
-                }
-            }
-        }
-
-        // Single-flight: elect one generator per key; everyone else
-        // blocks here, then finds the committed snapshot on re-read.
-        let guard = self.key_guard(key.fingerprint());
-        let _guard = guard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let lock = KeyLock::acquire(self.lock_path(key));
-        self.note_lock_wait(lock.waited);
-        if let Ok(bytes) = fs::read(&path) {
-            if let Ok(snapshot) = Snapshot::parse(&bytes) {
-                let summary = snapshot.replay(tool)?;
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_read
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                tele().hits.incr();
-                tele().coalesced.incr();
-                tele().bytes_read.add(bytes.len() as u64);
-                return Ok(CachedReplay {
+        self.fill(
+            key,
+            generate,
+            tool,
+            |bytes, tool| {
+                let snapshot = Snapshot::parse(&bytes).ok()?;
+                Some(snapshot.replay(tool).map(|summary| CachedReplay {
                     summary,
                     sections: snapshot.info().sections,
                     from_cache: true,
-                });
-            }
-            // Still unreadable: this thread won the election over a
-            // corrupt entry; the rejection was already counted above.
-        }
-
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        tele().misses.incr();
-        let _generate_span = telemetry::span("generate");
-        let generate_start = Instant::now();
-        let trace = generate().map_err(CacheError::Generate)?;
-        self.counters.generations.fetch_add(1, Ordering::Relaxed);
-        tele().generations.incr();
-        let sections = BySection::new(
-            trace
-                .schedule()
-                .section_instructions(crate::Section::Serial),
-            trace
-                .schedule()
-                .section_instructions(crate::Section::Parallel),
-        );
-
-        let mut writer = match self.start_recording(key) {
-            Ok(writer) => writer,
-            Err(_) => {
-                // Unwritable cache: replay live without recording.
-                self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-                tele().write_failures.incr();
-                let summary = trace.replay(tool);
-                tele()
-                    .generation_hist
-                    .observe(generate_start.elapsed().as_nanos() as u64);
-                return Ok(CachedReplay {
-                    summary,
-                    sections,
-                    from_cache: false,
-                });
-            }
-        };
-        let summary = {
-            let mut tee = (&mut writer.snapshot, tool);
-            trace.replay(&mut tee)
-        };
-        if writer.commit(self).is_err() {
-            // The tool already observed the full live stream; only the
-            // persistence failed.
-            self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-            tele().write_failures.incr();
-        }
-        tele()
-            .generation_hist
-            .observe(generate_start.elapsed().as_nanos() as u64);
-        Ok(CachedReplay {
-            summary,
-            sections,
-            from_cache: false,
-        })
+                }))
+            },
+            |_, info, summary| CachedReplay {
+                summary,
+                sections: info.sections,
+                from_cache: false,
+            },
+        )
     }
 
     /// Returns the raw snapshot bytes for `key`, generating and
@@ -679,80 +616,121 @@ impl TraceCache {
     where
         F: FnOnce() -> Result<SyntheticTrace, String>,
     {
+        self.fill(
+            key,
+            generate,
+            &mut NullTool,
+            |bytes, _| Snapshot::parse(&bytes).is_ok().then_some(Ok(bytes)),
+            |bytes, _, _| bytes,
+        )
+    }
+
+    /// The fill protocol behind [`TraceCache::replay_with`] and
+    /// [`TraceCache::snapshot_bytes`]. A valid snapshot on disk is
+    /// handed to `serve` (a hit). Otherwise one generator per key is
+    /// elected — per-key mutex within the process, `<snapshot>.lock`
+    /// file across processes — and everyone else blocks, then serves
+    /// the winner's committed snapshot on re-read (a coalesced hit).
+    /// The winner generates the trace, replays it into `tool` while
+    /// encoding it, commits the snapshot (an unwritable directory only
+    /// counts a write failure) and returns `generated`'s result.
+    fn fill<T, R>(
+        &self,
+        key: &TraceKey,
+        generate: impl FnOnce() -> Result<SyntheticTrace, String>,
+        tool: &mut T,
+        serve: impl Fn(Vec<u8>, &mut T) -> Option<Result<R, SnapshotError>>,
+        generated: impl FnOnce(Vec<u8>, SnapshotInfo, RunSummary) -> R,
+    ) -> Result<R, CacheError>
+    where
+        T: Pintool + ?Sized,
+    {
         let path = self.path_for(key);
-        if let Ok(bytes) = fs::read(&path) {
-            if Snapshot::parse(&bytes).is_ok() {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_read
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                tele().hits.incr();
-                tele().bytes_read.add(bytes.len() as u64);
-                return Ok(bytes);
-            }
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            tele().rejected.incr();
+        if let Some(served) = self.read_hit(&path, tool, &serve, false) {
+            return served;
         }
 
-        // Single-flight election, as in `replay_with`.
+        // Single-flight: elect one generator per key; everyone else
+        // blocks here, then serves the committed snapshot on re-read.
         let guard = self.key_guard(key.fingerprint());
         let _guard = guard
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let lock = KeyLock::acquire(self.lock_path(key));
         self.note_lock_wait(lock.waited);
-        if let Ok(bytes) = fs::read(&path) {
-            if Snapshot::parse(&bytes).is_ok() {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_read
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                tele().hits.incr();
-                tele().coalesced.incr();
-                tele().bytes_read.add(bytes.len() as u64);
-                return Ok(bytes);
-            }
+        if let Some(served) = self.read_hit(&path, tool, &serve, true) {
+            return served;
         }
 
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        tele().misses.incr();
+        count(&self.counters.misses, &tele().misses, 1);
         let _generate_span = telemetry::span("generate");
         let generate_start = Instant::now();
         let trace = generate().map_err(CacheError::Generate)?;
-        self.counters.generations.fetch_add(1, Ordering::Relaxed);
-        tele().generations.incr();
-        let (bytes, info) = {
-            let mut writer = SnapshotWriter::new(Vec::new(), key.seed(), key.fingerprint());
-            trace.replay(&mut writer);
-            writer.finish()?
-        };
-
-        static TMP_ID: AtomicU64 = AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            "{}.mem-{}-{}",
-            key.file_name(),
-            std::process::id(),
-            TMP_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        let persisted = fs::write(&tmp, &bytes).and_then(|()| fs::rename(&tmp, &path));
-        match persisted {
-            Ok(()) => {
-                self.counters
-                    .bytes_written
-                    .fetch_add(info.total_bytes, Ordering::Relaxed);
-                tele().bytes_written.add(info.total_bytes);
-            }
-            Err(_) => {
-                let _ = fs::remove_file(&tmp);
-                self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-                tele().write_failures.incr();
-            }
+        count(&self.counters.generations, &tele().generations, 1);
+        let (bytes, info, summary) = encode(key, &trace, tool)?;
+        if self.commit(key, &bytes).is_err() {
+            // The tool already observed the full live stream; only the
+            // persistence failed.
+            count(&self.counters.write_failures, &tele().write_failures, 1);
         }
         tele()
             .generation_hist
             .observe(generate_start.elapsed().as_nanos() as u64);
-        Ok(bytes)
+        Ok(generated(bytes, info, summary))
+    }
+
+    /// Reads `path` and hands its bytes to `serve`, counting a hit (and
+    /// a coalesced one after the single-flight wait). `None` when there
+    /// is no file or `serve` rejects its bytes; only the first read
+    /// counts a rejection, so a corrupt entry is counted once.
+    fn read_hit<T: ?Sized, R>(
+        &self,
+        path: &Path,
+        tool: &mut T,
+        serve: &impl Fn(Vec<u8>, &mut T) -> Option<Result<R, SnapshotError>>,
+        coalesced: bool,
+    ) -> Option<Result<R, CacheError>> {
+        let bytes = fs::read(path).ok()?;
+        let len = bytes.len() as u64;
+        let Some(served) = serve(bytes, tool) else {
+            if !coalesced {
+                count(&self.counters.rejected, &tele().rejected, 1);
+            }
+            return None;
+        };
+        if served.is_ok() {
+            count(&self.counters.hits, &tele().hits, 1);
+            count(&self.counters.bytes_read, &tele().bytes_read, len);
+            if coalesced {
+                count(&self.counters.coalesced, &tele().coalesced, 1);
+            }
+        }
+        Some(served.map_err(CacheError::from))
+    }
+
+    /// Publishes `bytes` as `key`'s snapshot: written to a private
+    /// `<snapshot>.tmp-<pid>-<n>` file, then atomically renamed into
+    /// place, so readers never observe a partial snapshot.
+    fn commit(&self, key: &TraceKey, bytes: &[u8]) -> io::Result<()> {
+        static TMP_ID: AtomicU64 = AtomicU64::new(0);
+        let tmp = self.dir.join(format!(
+            "{}.tmp-{}-{}",
+            key.file_name(),
+            std::process::id(),
+            TMP_ID.fetch_add(1, Ordering::Relaxed)
+        ));
+        let committed = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, self.path_for(key)));
+        match committed {
+            Ok(()) => count(
+                &self.counters.bytes_written,
+                &tele().bytes_written,
+                bytes.len() as u64,
+            ),
+            Err(_) => {
+                let _ = fs::remove_file(&tmp);
+            }
+        }
+        committed
     }
 
     /// The in-process single-flight guard for one key fingerprint.
@@ -769,8 +747,9 @@ impl TraceCache {
         self.dir.join(format!("{}.lock", key.file_name()))
     }
 
-    /// Removes temporary files (`*.tmp-<pid>-<n>`, `*.mem-<pid>-<n>`,
-    /// `*.lock`) whose owning process is gone. Files belonging to this
+    /// Removes temporary files (`*.tmp-<pid>-<n>`, `*.lock`, and the
+    /// `*.mem-<pid>-<n>` files older versions wrote) whose owning
+    /// process is gone. Files belonging to this
     /// process or to a live process are kept; when liveness cannot be
     /// determined the file is kept unless it is over an hour old.
     fn sweep_orphans(&self) {
@@ -783,10 +762,7 @@ impl TraceCache {
                 continue;
             };
             let owner = if name.ends_with(".lock") {
-                // Lock files carry their owner's pid as content.
-                fs::read_to_string(entry.path())
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok())
+                lock_owner(&entry.path())
             } else if let Some(rest) = name
                 .split_once(".tmp-")
                 .or_else(|| name.split_once(".mem-"))
@@ -797,57 +773,55 @@ impl TraceCache {
             } else {
                 continue;
             };
-            let stale = match owner {
-                Some(pid) if pid == std::process::id() => false,
-                Some(pid) => match pid_alive(pid) {
-                    Some(alive) => !alive,
-                    None => file_is_old(&entry.path()),
-                },
-                None => file_is_old(&entry.path()),
-            };
-            if stale && fs::remove_file(entry.path()).is_ok() {
-                self.counters.tmp_swept.fetch_add(1, Ordering::Relaxed);
-                tele().tmp_swept.incr();
+            if abandoned(owner, &entry.path()) && fs::remove_file(entry.path()).is_ok() {
+                count(&self.counters.tmp_swept, &tele().tmp_swept, 1);
             }
         }
     }
-
-    fn start_recording(&self, key: &TraceKey) -> Result<Recording, CacheError> {
-        static TMP_ID: AtomicU64 = AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            "{}.tmp-{}-{}",
-            key.file_name(),
-            std::process::id(),
-            TMP_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        let file = BufWriter::new(fs::File::create(&tmp)?);
-        Ok(Recording {
-            snapshot: SnapshotWriter::new(file, key.seed(), key.fingerprint()),
-            tmp,
-            path: self.path_for(key),
-        })
-    }
 }
 
-/// Whether the process `pid` is currently running, when the platform
-/// can tell (`/proc` on Linux); `None` when it cannot.
-fn pid_alive(pid: u32) -> Option<bool> {
-    if cfg!(target_os = "linux") {
-        Some(Path::new(&format!("/proc/{pid}")).exists())
-    } else {
-        None
-    }
+/// Adds `n` to one of a cache's counters and to its process-wide
+/// `cache.*` telemetry mirror.
+fn count(counter: &AtomicU64, mirror: &telemetry::Counter, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+    mirror.add(n);
 }
 
-/// Age-based staleness fallback when pid liveness is unknowable: only
-/// files untouched for over an hour are considered abandoned.
-fn file_is_old(path: &Path) -> bool {
+/// Replays `trace` into `tool` while encoding the same stream as `key`'s
+/// snapshot; returns the snapshot bytes, their metadata and the replay
+/// summary.
+fn encode<T: Pintool + ?Sized>(
+    key: &TraceKey,
+    trace: &SyntheticTrace,
+    tool: &mut T,
+) -> Result<(Vec<u8>, SnapshotInfo, RunSummary), SnapshotError> {
+    let mut writer = SnapshotWriter::new(Vec::new(), key.seed(), key.fingerprint());
+    let summary = trace.replay(&mut (&mut writer, tool));
+    let (bytes, info) = writer.finish()?;
+    Ok((bytes, info, summary))
+}
+
+/// The pid a `.lock` file names as its holder; `None` while the holder
+/// is between create and write, or if the file is unreadable.
+fn lock_owner(path: &Path) -> Option<u32> {
+    fs::read_to_string(path).ok()?.trim().parse().ok()
+}
+
+/// Whether a temporary or lock file owned by `owner` was left behind by
+/// a dead run: never when this process owns it; by pid liveness where
+/// the platform can tell (`/proc` on Linux); otherwise, or when the
+/// owner is unknown, only if it is untouched for over an hour.
+fn abandoned(owner: Option<u32>, path: &Path) -> bool {
     const STALE_AFTER: Duration = Duration::from_secs(3600);
-    fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
-        .is_some_and(|age| age > STALE_AFTER)
+    match owner {
+        Some(pid) if pid == std::process::id() => false,
+        Some(pid) if cfg!(target_os = "linux") => !Path::new(&format!("/proc/{pid}")).exists(),
+        _ => fs::metadata(path)
+            .and_then(|m| m.modified())
+            .ok()
+            .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
+            .is_some_and(|age| age > STALE_AFTER),
+    }
 }
 
 /// A held (or degraded) cross-process generation lock.
@@ -871,16 +845,8 @@ impl KeyLock {
 
     fn acquire(path: PathBuf) -> KeyLock {
         let start = Instant::now();
-        let deadline = start + Self::TIMEOUT;
         let mut contended = false;
-        let waited = |contended: bool, start: Instant| {
-            if contended {
-                start.elapsed()
-            } else {
-                Duration::ZERO
-            }
-        };
-        loop {
+        let held = loop {
             match fs::OpenOptions::new()
                 .write(true)
                 .create_new(true)
@@ -888,54 +854,29 @@ impl KeyLock {
             {
                 Ok(mut file) => {
                     let _ = write!(file, "{}", std::process::id());
-                    return KeyLock {
-                        held: true,
-                        waited: waited(contended, start),
-                        path,
-                    };
+                    break true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                     contended = true;
-                    if Self::holder_is_dead(&path) {
+                    if abandoned(lock_owner(&path), &path) {
                         let _ = fs::remove_file(&path);
-                        continue;
+                    } else if start.elapsed() >= Self::TIMEOUT {
+                        break false;
+                    } else {
+                        std::thread::sleep(Self::POLL);
                     }
-                    if Instant::now() >= deadline {
-                        return KeyLock {
-                            held: false,
-                            waited: waited(contended, start),
-                            path,
-                        };
-                    }
-                    std::thread::sleep(Self::POLL);
                 }
                 // Unwritable cache directory: generate locklessly; the
                 // caller's write path degrades the same way.
-                Err(_) => {
-                    return KeyLock {
-                        held: false,
-                        waited: waited(contended, start),
-                        path,
-                    }
-                }
+                Err(_) => break false,
             }
-        }
-    }
-
-    fn holder_is_dead(path: &Path) -> bool {
-        let owner = fs::read_to_string(path)
-            .ok()
-            .and_then(|s| s.trim().parse::<u32>().ok());
-        match owner {
-            Some(pid) if pid == std::process::id() => false,
-            Some(pid) => match pid_alive(pid) {
-                Some(alive) => !alive,
-                None => file_is_old(path),
-            },
-            // Content not written yet (the holder is between create and
-            // write) or unreadable: fall back to age.
-            None => file_is_old(path),
-        }
+        };
+        let waited = if contended {
+            start.elapsed()
+        } else {
+            Duration::ZERO
+        };
+        KeyLock { path, held, waited }
     }
 }
 
@@ -944,37 +885,6 @@ impl Drop for KeyLock {
         if self.held {
             let _ = fs::remove_file(&self.path);
         }
-    }
-}
-
-/// An in-flight snapshot recording: a writer plus the tmp→final rename.
-struct Recording {
-    snapshot: SnapshotWriter<BufWriter<fs::File>>,
-    tmp: PathBuf,
-    path: PathBuf,
-}
-
-impl Recording {
-    fn commit(self, cache: &TraceCache) -> Result<SnapshotInfo, CacheError> {
-        let result = self.snapshot.finish();
-        let (sink, info) = match result {
-            Ok(ok) => ok,
-            Err(e) => {
-                let _ = fs::remove_file(&self.tmp);
-                return Err(e.into());
-            }
-        };
-        drop(sink);
-        if let Err(e) = fs::rename(&self.tmp, &self.path) {
-            let _ = fs::remove_file(&self.tmp);
-            return Err(e.into());
-        }
-        cache
-            .counters
-            .bytes_written
-            .fetch_add(info.total_bytes, Ordering::Relaxed);
-        tele().bytes_written.add(info.total_bytes);
-        Ok(info)
     }
 }
 

@@ -28,7 +28,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{batch_capacity, EventBatch, EventSink};
+use crate::batch::{EventBatch, EventSink, BATCH_CAPACITY};
 use crate::event::TraceEvent;
 use crate::exec::RunSummary;
 use crate::observer::Pintool;
@@ -499,11 +499,11 @@ struct SampleSink<'a, T: Pintool + ?Sized> {
 }
 
 impl<'a, T: Pintool + ?Sized> SampleSink<'a, T> {
-    fn new(tool: &'a mut T, plan: &'a SamplePlan) -> Self {
+    fn new(tool: &'a mut T, plan: &'a SamplePlan, capacity: usize) -> Self {
         SampleSink {
             tool,
             plan,
-            batch: EventBatch::with_capacity(batch_capacity()),
+            batch: EventBatch::with_capacity(capacity),
             decoded: 0,
             delivered: 0,
             next_rep: 0,
@@ -610,18 +610,38 @@ impl Snapshot<'_> {
         tool: &mut T,
         plan: &SamplePlan,
     ) -> Result<SampledReplay, SnapshotError> {
+        self.replay_sampled_batched(tool, plan, BATCH_CAPACITY)
+    }
+
+    /// [`Snapshot::replay_sampled`] with an explicit batch capacity
+    /// (exercised down to capacity 1 by the equivalence tests).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Snapshot::replay`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`Snapshot::replay_sampled`], and if `capacity` is out of
+    /// range for [`EventBatch::with_capacity`].
+    pub fn replay_sampled_batched<T: Pintool + ?Sized>(
+        &self,
+        tool: &mut T,
+        plan: &SamplePlan,
+        capacity: usize,
+    ) -> Result<SampledReplay, SnapshotError> {
         assert!(
             tool.supports_sampled_replay(),
             "tool does not support weighted sampled replay"
         );
         if plan.is_full_replay() {
-            let summary = self.replay(tool)?;
+            let summary = self.replay_batched(tool, capacity)?;
             return Ok(SampledReplay {
                 summary,
                 delivered_instructions: summary.instructions,
             });
         }
-        let mut sink = SampleSink::new(tool, plan);
+        let mut sink = SampleSink::new(tool, plan, capacity);
         let result = self.decode_into(&mut sink);
         let delivered_instructions = sink.finish();
         Ok(SampledReplay {

@@ -88,7 +88,7 @@ use std::path::Path;
 use rebalance_isa::{Addr, BranchKind, InstClass, Outcome};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{batch_capacity, BatchSink, DirectSink, EventBatch, EventSink};
+use crate::batch::{BatchSink, DirectSink, EventBatch, EventSink, BATCH_CAPACITY};
 use crate::by_section::BySection;
 use crate::event::{BranchEvent, TraceEvent};
 use crate::exec::RunSummary;
@@ -600,10 +600,9 @@ impl<'a> Snapshot<'a> {
     /// replay delivered them — decoded **block-at-a-time**: varint
     /// deltas are expanded directly into a reusable [`EventBatch`] (no
     /// per-event closure or virtual call), and the tool receives whole
-    /// blocks via [`Pintool::on_batch`] at the process-wide
-    /// [`batch_capacity`]. Byte-level validation
-    /// happened once in [`Snapshot::parse`]; the decode loop performs
-    /// only structural checks.
+    /// blocks via [`Pintool::on_batch`] at [`BATCH_CAPACITY`].
+    /// Byte-level validation happened once in [`Snapshot::parse`]; the
+    /// decode loop performs only structural checks.
     ///
     /// # Errors
     ///
@@ -613,7 +612,7 @@ impl<'a> Snapshot<'a> {
     /// with the footer counters (both indicate a writer bug — byte
     /// corruption is already excluded by [`Snapshot::parse`]).
     pub fn replay<T: Pintool + ?Sized>(&self, tool: &mut T) -> Result<RunSummary, SnapshotError> {
-        self.replay_batched(tool, batch_capacity())
+        self.replay_batched(tool, BATCH_CAPACITY)
     }
 
     /// [`Snapshot::replay`] with an explicit batch capacity (exercised

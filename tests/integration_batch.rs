@@ -7,34 +7,59 @@
 //!    batch edges exactly on phase boundaries;
 //! 2. batched snapshot decode is bit-identical to per-event decode;
 //! 3. every hot tool's `on_batch` override produces exactly the
-//!    results of its per-event path, live and from a snapshot.
+//!    results of its per-event path, live and from a snapshot;
+//! 4. phase-sampled replay delivers the same calls, weights and
+//!    timings at every capacity.
 //!
-//! CI runs this file under `REBALANCE_BATCH` ∈ {default, 1}, so the
-//! process-wide capacity is covered at both extremes.
+//! Capacities are passed explicitly, so every oracle covers capacity 1,
+//! a mid-size capacity and [`BATCH_CAPACITY`] in one process.
 
+use rebalance::coresim::FetchModelKind;
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
-use rebalance::pintools::{characterization_from_tools, characterization_tools};
+use rebalance::pintools::{characterization_from_tools, characterization_tools, BbvTool};
 use rebalance::trace::{
-    snapshot, EventBatch, Phase, Pintool, ProgramBuilder, Schedule, Section, Snapshot,
-    SyntheticTrace, Terminator, ToolSet, TraceEvent,
+    snapshot, EventBatch, Phase, Pintool, ProgramBuilder, SamplePlan, SamplingConfig, Schedule,
+    Section, Snapshot, SyntheticTrace, Terminator, ToolSet, TraceEvent, BATCH_CAPACITY,
 };
 use rebalance::workloads::find;
-use rebalance::Scale;
+use rebalance::{CoreKind, CoreModel, Scale};
 
-/// Records the exact observer call sequence.
+/// One observer call.
+#[derive(Debug, PartialEq)]
+enum Call {
+    Event(TraceEvent),
+    Start(Section),
+    Weight(u64),
+    Gap,
+}
+
+/// Records the exact observer call sequence, sampled-replay calls
+/// included.
 #[derive(Default, PartialEq, Debug)]
 struct CallLog {
-    calls: Vec<Result<TraceEvent, Section>>,
+    calls: Vec<Call>,
 }
 
 impl Pintool for CallLog {
     fn on_inst(&mut self, ev: &TraceEvent) {
-        self.calls.push(Ok(*ev));
+        self.calls.push(Call::Event(*ev));
     }
 
     fn on_section_start(&mut self, section: Section) {
-        self.calls.push(Err(section));
+        self.calls.push(Call::Start(section));
+    }
+
+    fn on_sample_weight(&mut self, weight: u64) {
+        self.calls.push(Call::Weight(weight));
+    }
+
+    fn on_sample_gap(&mut self) {
+        self.calls.push(Call::Gap);
+    }
+
+    fn supports_sampled_replay(&self) -> bool {
+        true
     }
 }
 
@@ -48,7 +73,7 @@ fn batched_live_replay_is_bit_identical_to_per_event() {
     let mut baseline = CallLog::default();
     let base_summary = trace.replay_per_event(&mut baseline);
 
-    // Default capacity (whatever REBALANCE_BATCH says for this run).
+    // Default capacity (BATCH_CAPACITY).
     let mut batched = CallLog::default();
     let summary = trace.replay(&mut batched);
     assert_eq!(summary, base_summary);
@@ -85,7 +110,11 @@ fn batch_edges_on_section_boundaries_change_nothing() {
     let mut baseline = CallLog::default();
     trace.replay_per_event(&mut baseline);
     assert_eq!(
-        baseline.calls.iter().filter(|c| c.is_err()).count(),
+        baseline
+            .calls
+            .iter()
+            .filter(|c| matches!(c, Call::Start(_)))
+            .count(),
         10,
         "every phase announces itself"
     );
@@ -178,7 +207,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
     };
 
     let baseline = measure("per-event", 0);
-    for cap in [1usize, rebalance::trace::batch_capacity()] {
+    for cap in [1usize, 7, BATCH_CAPACITY] {
         assert_eq!(
             measure("batched", cap),
             baseline,
@@ -194,8 +223,8 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
 
 /// Roster-wide decode oracle: for **every** registered workload,
 /// batched snapshot decode must deliver the per-event event stream and
-/// section notifications bit for bit, at capacity 1 and the process
-/// default.
+/// section notifications bit for bit, at capacities 1, 7 and
+/// [`BATCH_CAPACITY`].
 #[test]
 fn all_workloads_batched_decode_is_bit_identical() {
     for w in rebalance::workloads::all() {
@@ -207,7 +236,7 @@ fn all_workloads_batched_decode_is_bit_identical() {
         let base_summary = snap.replay_per_event(&mut baseline).unwrap();
         assert_eq!(base_summary, info.summary, "{}", w.name());
 
-        for cap in [1usize, rebalance::trace::batch_capacity()] {
+        for cap in [1usize, 7, BATCH_CAPACITY] {
             let mut got = CallLog::default();
             let summary = snap.replay_batched(&mut got, cap).unwrap();
             assert_eq!(summary, base_summary, "{}: cap {cap}", w.name());
@@ -218,7 +247,7 @@ fn all_workloads_batched_decode_is_bit_identical() {
 
 /// Differential oracle over the kernel-archetype suite: for every new
 /// kernel workload, per-event and batched delivery (capacity 1, 7, and
-/// the process default) produce bit-identical event streams, section
+/// [`BATCH_CAPACITY`]) produce bit-identical event streams, section
 /// notifications, summaries, and tool reports — including the
 /// phase-shape paths (drift windows, ramped epochs) the paper roster
 /// never exercises.
@@ -229,7 +258,7 @@ fn kernel_archetypes_batched_delivery_is_bit_identical() {
 
         let mut baseline = CallLog::default();
         let base_summary = trace.replay_per_event(&mut baseline);
-        for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
+        for cap in [1usize, 7, BATCH_CAPACITY] {
             let mut batched = CallLog::default();
             let summary = trace.replay_batched(&mut batched, cap);
             assert_eq!(summary, base_summary, "{}: capacity {cap}", w.name());
@@ -257,7 +286,7 @@ fn kernel_archetypes_batched_delivery_is_bit_identical() {
             )
         };
         let expected = measure(true, 0);
-        for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
+        for cap in [1usize, 7, BATCH_CAPACITY] {
             assert_eq!(
                 measure(false, cap),
                 expected,
@@ -291,8 +320,56 @@ fn manual_batch_round_trip() {
     let got: Vec<_> = replayed
         .calls
         .iter()
-        .filter_map(|c| c.as_ref().ok())
-        .copied()
+        .filter_map(|c| match c {
+            Call::Event(ev) => Some(*ev),
+            _ => None,
+        })
         .collect();
     assert_eq!(got, events);
+}
+
+/// Roster-wide sampled-replay oracle: with the default sampling plan,
+/// capacities 1, 7 and [`BATCH_CAPACITY`] deliver the same call
+/// sequence (events, section starts, sample weights and gaps), the same
+/// instruction count, and the same weighted timings under both fetch
+/// models.
+#[test]
+fn sampled_replay_is_capacity_independent_for_every_workload() {
+    let config = SamplingConfig::default();
+    let models = [FetchModelKind::Penalty, FetchModelKind::Ftq]
+        .map(|kind| CoreModel::new(CoreKind::Baseline).with_fetch_model(kind));
+    for w in rebalance::workloads::all() {
+        let trace = w.trace(Scale::Smoke).unwrap();
+        let (bytes, _) = snapshot::snapshot_bytes(&trace, 0).unwrap();
+        let snap = Snapshot::parse(&bytes).unwrap();
+        let plan =
+            SamplePlan::from_snapshot(&snap, &mut BbvTool::new(config.dims), &config).unwrap();
+        let backend = w.profile().backend;
+
+        let run = |cap: usize| {
+            let mut log = CallLog::default();
+            let mut timed = ToolSet::from_tools(models.iter().map(|m| m.fetch_tools()).collect());
+            let replay = snap
+                .replay_sampled_batched(&mut (&mut log, &mut timed), &plan, cap)
+                .unwrap();
+            let timings: Vec<_> = models
+                .iter()
+                .zip(timed.iter())
+                .map(|(m, tools)| m.timing_of(tools, &backend))
+                .collect();
+            (log.calls, replay, timings)
+        };
+        let expected = run(BATCH_CAPACITY);
+        assert!(
+            expected.0.contains(&Call::Gap),
+            "{}: the plan must skip intervals",
+            w.name()
+        );
+        for cap in [1usize, 7] {
+            let got = run(cap);
+            assert!(got.0 == expected.0, "{}: calls at capacity {cap}", w.name());
+            assert_eq!(got.1, expected.1, "{}: replay at capacity {cap}", w.name());
+            assert_eq!(got.2, expected.2, "{}: timings at capacity {cap}", w.name());
+        }
+    }
 }

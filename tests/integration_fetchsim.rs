@@ -181,7 +181,7 @@ fn batched_delivery_is_bit_identical_for_fetchsim() {
         let expected = baseline.report();
         expected.check_attribution().unwrap();
 
-        for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
+        for cap in [1usize, 7, rebalance::trace::BATCH_CAPACITY] {
             let mut live = FetchSim::new(config);
             trace.replay_batched(&mut live, cap);
             assert_eq!(live.report(), expected, "{name}: live capacity {cap}");
