@@ -24,7 +24,7 @@ pub struct Parsed {
     pub force: bool,
     /// `--json DIR`.
     pub json_dir: Option<String>,
-    /// `--model {penalty,ftq}` (CPI timing backend).
+    /// `--model {penalty,ftq}` (`sweep`'s CPI timing backend).
     pub model: Option<FetchModelKind>,
     /// `--sample N` (slice each replay into N intervals and replay one
     /// weighted representative per phase cluster).

@@ -35,7 +35,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         let _fetch_span = rebalance_telemetry::span("fetch");
         (
             fetchsim::sweep_grid(workloads, parsed.scale, &grid),
-            util::sweep_report(),
+            util::engine().report(),
         )
     };
 

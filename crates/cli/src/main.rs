@@ -12,7 +12,7 @@
 //! rebalance phases --suite kernels                # phase-cluster maps + weights
 //! rebalance sweep --sample 160 --sample-k 8       # phase-sampled predictor sweep
 //! rebalance paper fig5 table3 --scale quick       # regenerate paper exhibits
-//! rebalance paper fig5 --suite npb --model ftq    # one suite, FTQ timing backend
+//! rebalance paper fig5 --suite npb               # one suite
 //! ```
 //!
 //! All replay-heavy subcommands route through the on-disk trace cache
@@ -73,7 +73,7 @@ fn usage() -> ExitCode {
          \x20     list the registered roster (paper suites + kernel archetypes)\n\
          \x20 phases [--workloads A,B,...] [--suite S] [--scale S] [--sample N] [--sample-k K] [--json DIR] [--cache DIR] [--no-cache]\n\
          \x20     print each workload's phase-cluster map and per-cluster weights\n\
-         \x20 paper [EXHIBIT...|all] [--suite S] [--scale S] [--model M] [--json DIR] [--cache DIR] [--no-cache]\n\
+         \x20 paper [EXHIBIT...|all] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache]\n\
          \x20     regenerate the paper's figures/tables through the cache\n\
          \x20 bench [--workloads A,B,...] [--suite S] [--scale S] [--json DIR]\n\
          \x20     gate the telemetry overhead of a warm batched sweep (interleaved off/on pairs),\n\
@@ -81,7 +81,7 @@ fn usage() -> ExitCode {
          \n\
          scales: smoke | quick | full | <positive factor>   (default: smoke)\n\
          suites: exmatex | specomp | npb | specint | kernels\n\
-         --model M: CPI timing backend, penalty (closed form) or ftq (decoupled fetch simulator)\n\
+         --model M: sweep's CPI timing backend, penalty (closed form) or ftq (decoupled fetch simulator)\n\
          --sample N [--sample-k K]: phase-sample sweep/fetch/paper replays into N intervals,\n\
          \x20    K clusters, replaying one weighted representative per cluster (default 160/8)\n\
          --metrics [text|json[=PATH]]: emit the telemetry snapshot after the report (sweep/fetch/paper/bench;\n\

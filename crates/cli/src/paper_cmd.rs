@@ -10,23 +10,20 @@ use crate::args;
 
 /// Runs the requested exhibits (default: all) and prints the shared
 /// replay/cache report at the end. `--suite S` narrows every
-/// roster-driven exhibit to one suite; `--model {penalty,ftq}` selects
-/// the CPI timing backend for the CMP exhibits.
+/// roster-driven exhibit to one suite.
 pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let parsed = args::parse(argv)?;
     args::forbid(&[
         (parsed.force, "--force"),
         (parsed.all, "--all (use the `all` exhibit name)"),
+        (parsed.model.is_some(), "--model"),
     ])?;
     args::configure_cache_env(&parsed);
     args::configure_sampling(&parsed);
     args::configure_metrics(&parsed);
-    // Both knobs latch process-wide state the exhibits consult; set
-    // them before the first exhibit computes anything.
+    // The suite filter latches process-wide state the exhibits consult;
+    // set it before the first exhibit computes anything.
     rebalance_experiments::util::set_suite_filter(parsed.suite);
-    if let Some(kind) = parsed.model {
-        rebalance_coresim::set_default_fetch_model(kind);
-    }
     let exhibits = driver::resolve_exhibits(&parsed.positional)?;
 
     let json_dir = parsed.json_dir.as_ref().map(PathBuf::from);
@@ -43,7 +40,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             return Err(e.to_string());
         }
     }
-    crate::print_ignoring_pipe(&format!("{}\n", util::sweep_report()));
+    crate::print_ignoring_pipe(&format!("{}\n", util::engine().report()));
     crate::metrics::emit(&parsed)?;
     Ok(ExitCode::SUCCESS)
 }

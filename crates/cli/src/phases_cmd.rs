@@ -135,9 +135,9 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
 
     if let Some(dir) = &parsed.json_dir {
         crate::write_json(dir, "phases", &json)?;
-        crate::write_json(dir, "report", &util::sweep_report())?;
+        crate::write_json(dir, "report", &util::engine().report())?;
     }
-    text.push_str(&util::sweep_report().to_string());
+    text.push_str(&util::engine().report().to_string());
     text.push('\n');
     crate::print_ignoring_pipe(&text);
     Ok(ExitCode::SUCCESS)

@@ -96,7 +96,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         let _sweep_span = rebalance_telemetry::span("sweep");
         (
             compute(&workloads, parsed.scale, parsed.model),
-            util::sweep_report(),
+            util::engine().report(),
         )
     };
 

@@ -171,7 +171,7 @@ fn repeated_sweeps_report_stable_metrics() {
 
     let (m1, m2) = (load_metrics(&j1), load_metrics(&j2));
     for m in [&m1, &m2] {
-        assert_eq!(m.get("version").and_then(Value::as_u64), Some(1));
+        assert_eq!(m.get("version").and_then(Value::as_u64), Some(2));
         // Attribution invariant on every snapshot.
         check_attribution("", m.get("spans").expect("spans"));
     }

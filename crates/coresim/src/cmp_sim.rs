@@ -5,57 +5,54 @@ use std::collections::HashMap;
 
 use rebalance_frontend::CoreKind;
 use rebalance_mcpat::{ed_product, energy_joules, CmpEstimate, CmpFloorplan, Technology};
-use rebalance_trace::{BySection, Section, TraceCache};
+use rebalance_trace::{BySection, CacheError, SweepEngine, TraceCache};
 use rebalance_workloads::{Scale, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::core_model::{CoreModel, CoreTiming};
 
-/// Simulates one workload on many floorplans from a **single** trace
-/// synthesis and a **single** replay: the distinct core designs across
-/// all floorplans are measured together in one fan-out pass
-/// ([`CoreModel::measure_many`]), then each floorplan's schedule/power
-/// arithmetic reuses the shared timings. Results are in `sims` order.
+/// Simulates one workload on many floorplans from a **single** replay
+/// through `engine`: the distinct core designs across all floorplans
+/// observe one fan-out pass, then each floorplan's schedule/power
+/// arithmetic reuses the shared timings and the replay's per-section
+/// instruction counts. Results are in `sims` order.
 ///
 /// This is what the figure regenerators use: evaluating the four
 /// Figure 10 CMPs per workload costs one replay, not four.
 ///
 /// # Errors
 ///
-/// Propagates workload synthesis errors (invalid profile or scale).
+/// Propagates the engine's replay errors (e.g. an invalid profile or
+/// scale).
 pub fn simulate_floorplans(
+    engine: &SweepEngine,
     sims: &[CmpSim],
     workload: &Workload,
     scale: Scale,
-) -> Result<Vec<CmpResult>, String> {
-    let trace = workload.trace(scale)?;
-    let backend = workload.profile().backend;
+) -> Result<Vec<CmpResult>, CacheError> {
     let models = distinct_core_models(sims);
+    let tools = models.iter().map(CoreModel::fetch_tools).collect();
+    let (tools, replay) =
+        engine.fan_out(&workload.trace_key(scale), || workload.trace(scale), tools)?;
+    let backend = workload.profile().backend;
     let timings: HashMap<CoreKind, CoreTiming> = models
         .iter()
-        .map(CoreModel::kind)
-        .zip(CoreModel::measure_many(&models, &trace, &backend))
+        .zip(&tools)
+        .map(|(model, tools)| (model.kind(), model.timing_of(tools, &backend)))
         .collect();
-    let sections = BySection::new(
-        trace.schedule().section_instructions(Section::Serial),
-        trace.schedule().section_instructions(Section::Parallel),
-    );
     Ok(sims
         .iter()
-        .map(|sim| sim.result_from_timings(workload.name(), sections, &timings))
+        .map(|sim| sim.result_from_timings(workload.name(), replay.sections, &timings))
         .collect())
 }
 
-/// [`simulate_floorplans`] with the trace replay served by an on-disk
-/// [`TraceCache`]: on a warm cache the workload is **never
-/// synthesized** — core timings come from decoding its snapshot, and
-/// the serial/parallel instruction split the scheduling arithmetic
-/// needs comes from the snapshot footer.
+/// [`simulate_floorplans`] with the replay served by `cache` directly
+/// rather than through an engine.
 ///
 /// # Errors
 ///
-/// Propagates workload synthesis errors and cache I/O failures (both
-/// stringified, matching [`simulate_floorplans`]).
+/// Propagates workload synthesis errors and cache I/O failures,
+/// stringified.
 pub fn simulate_floorplans_cached(
     sims: &[CmpSim],
     workload: &Workload,
@@ -164,7 +161,7 @@ impl CmpSim {
             .unwrap_or(0)
     }
 
-    /// Simulates one workload end to end.
+    /// Simulates one workload end to end on a live replay.
     ///
     /// For several floorplans over the same workload, prefer
     /// [`simulate_floorplans`] directly — it measures all core designs
@@ -174,7 +171,9 @@ impl CmpSim {
     ///
     /// Propagates workload synthesis errors (invalid profile or scale).
     pub fn simulate(&self, workload: &Workload, scale: Scale) -> Result<CmpResult, String> {
-        let mut results = simulate_floorplans(std::slice::from_ref(self), workload, scale)?;
+        let sims = std::slice::from_ref(self);
+        let mut results = simulate_floorplans(&SweepEngine::new(), sims, workload, scale)
+            .map_err(|e| e.to_string())?;
         Ok(results.remove(0))
     }
 
@@ -356,7 +355,7 @@ mod tests {
             CmpSim::new(CmpFloorplan::tailored(8)),
             CmpSim::new(CmpFloorplan::asymmetric(1, 7)),
         ];
-        let live = simulate_floorplans(&sims, &w, Scale::Smoke).unwrap();
+        let live = simulate_floorplans(&SweepEngine::new(), &sims, &w, Scale::Smoke).unwrap();
         let cache = TraceCache::scratch().unwrap();
         let cold = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache).unwrap();
         let warm = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache).unwrap();

@@ -4,13 +4,12 @@ use rebalance_fetchsim::{FetchConfig, FetchReport, FetchSim, FtqConfig};
 use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::{BtbSim, CoreKind, FrontendConfig, ICacheSim};
 use rebalance_trace::{
-    CacheError, CachedReplay, SamplePlan, SampledReplay, Section, Snapshot, SnapshotError,
-    SyntheticTrace, ToolSet, TraceCache, TraceKey,
+    CacheError, CachedReplay, Section, SyntheticTrace, ToolSet, TraceCache, TraceKey,
 };
 use rebalance_workloads::BackendProfile;
 use serde::{Deserialize, Serialize};
 
-use crate::fetch_model::{default_fetch_model, FetchModelKind, FetchTools};
+use crate::fetch_model::{FetchModelKind, FetchTools};
 use crate::penalties::Penalties;
 
 /// One core design's front-end simulators, bundled as a single
@@ -97,15 +96,9 @@ pub struct CoreModel {
 
 impl CoreModel {
     /// A core of one of the paper's two designs with default penalties
-    /// and the process-default fetch model (see
-    /// [`set_default_fetch_model`](crate::set_default_fetch_model)).
+    /// and the default ([`FetchModelKind::Penalty`]) fetch model.
     pub fn new(kind: CoreKind) -> Self {
-        CoreModel {
-            kind,
-            frontend: FrontendConfig::for_core(kind),
-            penalties: Penalties::default(),
-            fetch_model: default_fetch_model(),
-        }
+        CoreModel::with_frontend(kind, FrontendConfig::for_core(kind))
     }
 
     /// A core with an explicit front-end (for design-space exploration).
@@ -114,7 +107,7 @@ impl CoreModel {
             kind,
             frontend,
             penalties: Penalties::default(),
-            fetch_model: default_fetch_model(),
+            fetch_model: FetchModelKind::default(),
         }
     }
 
@@ -194,26 +187,9 @@ impl CoreModel {
         self.timing_of(&tools, backend)
     }
 
-    /// Measures several core designs over a **single** replay of
-    /// `trace`: every design's front-end tools join one [`ToolSet`], so
-    /// the cost is one trace pass regardless of how many designs are
-    /// compared. Timings are returned in `models` order.
-    pub fn measure_many(
-        models: &[CoreModel],
-        trace: &SyntheticTrace,
-        backend: &BackendProfile,
-    ) -> Vec<CoreTiming> {
-        let mut set: ToolSet<FetchTools> = models.iter().map(CoreModel::fetch_tools).collect();
-        trace.replay(&mut set);
-        models
-            .iter()
-            .zip(set.into_inner())
-            .map(|(model, tools)| model.timing_of(&tools, backend))
-            .collect()
-    }
-
-    /// [`CoreModel::measure_many`] with the shared replay served by an
-    /// on-disk [`TraceCache`]: `generate` only runs on a cache miss, so
+    /// Measures several core designs over a **single** replay served by
+    /// an on-disk [`TraceCache`]: every design's tools join one
+    /// [`ToolSet`], and `generate` only runs on a cache miss, so
     /// a warm cache measures every design without synthesizing or
     /// interpreting the trace at all. Also returns the replay's
     /// [`CachedReplay`] accounting (per-section instruction counts,
@@ -231,33 +207,6 @@ impl CoreModel {
     ) -> Result<(Vec<CoreTiming>, CachedReplay), CacheError> {
         let mut set: ToolSet<FetchTools> = models.iter().map(CoreModel::fetch_tools).collect();
         let replay = cache.replay_with(key, generate, &mut set)?;
-        let timings = models
-            .iter()
-            .zip(set.into_inner())
-            .map(|(model, tools)| model.timing_of(&tools, backend))
-            .collect();
-        Ok((timings, replay))
-    }
-
-    /// [`CoreModel::measure_many`] over a phase-sampled replay: every
-    /// design's tools observe only `plan`'s weighted representative
-    /// intervals of `snapshot` (see
-    /// [`Snapshot::replay_sampled`]), and per-section CPI is derived
-    /// from the weight-scaled counters. Also returns the
-    /// [`SampledReplay`] accounting (full-stream summary plus delivered
-    /// instruction count).
-    ///
-    /// # Errors
-    ///
-    /// Propagates snapshot decode failures.
-    pub fn measure_many_sampled(
-        models: &[CoreModel],
-        snapshot: &Snapshot<'_>,
-        plan: &SamplePlan,
-        backend: &BackendProfile,
-    ) -> Result<(Vec<CoreTiming>, SampledReplay), SnapshotError> {
-        let mut set: ToolSet<FetchTools> = models.iter().map(CoreModel::fetch_tools).collect();
-        let replay = snapshot.replay_sampled(&mut set, plan)?;
         let timings = models
             .iter()
             .zip(set.into_inner())
@@ -363,10 +312,25 @@ impl CoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rebalance_workloads::{find, Scale};
+    use rebalance_trace::SweepEngine;
+    use rebalance_workloads::{find, Scale, Workload};
 
     fn measure(workload: &str, kind: CoreKind) -> CoreTiming {
         measure_at(workload, kind, Scale::Smoke)
+    }
+
+    /// `models` measured together over one live engine replay of `w`.
+    fn fan_out(models: &[CoreModel], w: &Workload) -> Vec<CoreTiming> {
+        let tools = models.iter().map(CoreModel::fetch_tools).collect();
+        let (tools, _) = SweepEngine::new()
+            .fan_out(&w.trace_key(Scale::Smoke), || w.trace(Scale::Smoke), tools)
+            .unwrap();
+        let backend = w.profile().backend;
+        models
+            .iter()
+            .zip(&tools)
+            .map(|(model, tools)| model.timing_of(tools, &backend))
+            .collect()
     }
 
     /// Structure-warmup-sensitive comparisons need longer traces.
@@ -437,21 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_many_matches_individual_measures() {
-        let w = find("CoMD").unwrap();
-        let trace = w.trace(Scale::Smoke).unwrap();
-        let backend = w.profile().backend;
-        let models = [
-            CoreModel::new(CoreKind::Baseline),
-            CoreModel::new(CoreKind::Tailored),
-        ];
-        let fanned = CoreModel::measure_many(&models, &trace, &backend);
-        for (model, timing) in models.iter().zip(&fanned) {
-            assert_eq!(*timing, model.measure(&trace, &backend));
-        }
-    }
-
-    #[test]
     fn measure_many_cached_matches_live_measurement() {
         let w = find("MG").unwrap();
         let trace = w.trace(Scale::Smoke).unwrap();
@@ -460,7 +409,7 @@ mod tests {
             CoreModel::new(CoreKind::Baseline),
             CoreModel::new(CoreKind::Tailored),
         ];
-        let live = CoreModel::measure_many(&models, &trace, &backend);
+        let live: Vec<CoreTiming> = models.iter().map(|m| m.measure(&trace, &backend)).collect();
 
         let cache = TraceCache::scratch().unwrap();
         let key = w.trace_key(Scale::Smoke);
@@ -489,7 +438,7 @@ mod tests {
 
     #[test]
     fn sampled_measurement_degenerates_to_full_replay() {
-        use rebalance_trace::SamplingConfig;
+        use rebalance_trace::{snapshot, SamplePlan, SamplingConfig, Snapshot};
 
         let w = find("CG").unwrap();
         let backend = w.profile().backend;
@@ -498,13 +447,9 @@ mod tests {
             CoreModel::new(CoreKind::Baseline).with_fetch_model(FetchModelKind::Ftq),
         ];
         let trace = w.trace(Scale::Smoke).unwrap();
-        let full = CoreModel::measure_many(&models, &trace, &backend);
+        let full: Vec<CoreTiming> = models.iter().map(|m| m.measure(&trace, &backend)).collect();
 
-        let cache = TraceCache::scratch().unwrap();
-        let key = w.trace_key(Scale::Smoke);
-        let bytes = cache
-            .snapshot_bytes(&key, || w.trace(Scale::Smoke))
-            .unwrap();
+        let (bytes, _) = snapshot::snapshot_bytes(&trace, 0).unwrap();
         let snapshot = Snapshot::parse(&bytes).unwrap();
         let total = snapshot.info().summary.instructions;
         let cfg = SamplingConfig::default().with_intervals(10).with_k(32);
@@ -512,11 +457,15 @@ mod tests {
         let plan = SamplePlan::from_vectors(&vectors, cfg.interval_insts(total), total, &cfg);
         assert!(plan.is_full_replay(), "k >= intervals degenerates");
 
-        let (timings, replay) =
-            CoreModel::measure_many_sampled(&models, &snapshot, &plan, &backend).unwrap();
+        let mut set: ToolSet<FetchTools> = models.iter().map(CoreModel::fetch_tools).collect();
+        let replay = snapshot.replay_sampled(&mut set, &plan).unwrap();
+        let timings: Vec<CoreTiming> = models
+            .iter()
+            .zip(set.into_inner())
+            .map(|(model, tools)| model.timing_of(&tools, &backend))
+            .collect();
         assert_eq!(timings, full, "degenerate sampling is bit-identical");
         assert_eq!(replay.delivered_instructions, total);
-        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
@@ -643,10 +592,11 @@ mod tests {
         let backend = w.profile().backend;
         let models = [
             CoreModel::new(CoreKind::Baseline),
+            CoreModel::new(CoreKind::Tailored),
             CoreModel::new(CoreKind::Tailored).with_fetch_model(FetchModelKind::Ftq),
             CoreModel::new(CoreKind::Baseline).with_fetch_model(FetchModelKind::Ftq),
         ];
-        let fanned = CoreModel::measure_many(&models, &trace, &backend);
+        let fanned = fan_out(&models, &w);
         for (model, timing) in models.iter().zip(&fanned) {
             assert_eq!(*timing, model.measure(&trace, &backend));
         }

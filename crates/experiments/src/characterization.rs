@@ -328,18 +328,29 @@ fn bars_for(suite: Suite) -> Vec<Bars> {
     }
 }
 
-/// Runs the characterization pass over the whole roster and aggregates
-/// per suite. Each workload is one engine item:
+/// Characterizes `workloads` at `scale`, pairing each with its result
+/// in input order. Each workload is one engine item:
 /// [`util::characterize_workload`] feeds all five pintools from a
-/// single replay (served from the shared trace cache when one is
-/// configured), and workloads run in parallel on the shared engine's
-/// executor.
-pub fn run(scale: Scale) -> CharacterizationSet {
-    let workloads = util::roster();
+/// single replay, and workloads run in parallel on the shared engine's
+/// executor. The exhibit driver characterizes the roster once and
+/// derives every characterization exhibit from the result.
+pub(crate) fn characterize(
+    workloads: Vec<Workload>,
+    scale: Scale,
+) -> Vec<(Workload, Characterization)> {
     let characterized = util::engine().map(&workloads, |w| util::characterize_workload(w, scale));
-    let results: Vec<(Workload, Characterization)> =
-        workloads.into_iter().zip(characterized).collect();
+    workloads.into_iter().zip(characterized).collect()
+}
 
+/// Runs the characterization pass over the whole roster and aggregates
+/// per suite.
+pub fn run(scale: Scale) -> CharacterizationSet {
+    from_characterized(&characterize(util::roster(), scale))
+}
+
+/// Aggregates already-characterized workloads per suite into the five
+/// characterization exhibits.
+pub(crate) fn from_characterized(results: &[(Workload, Characterization)]) -> CharacterizationSet {
     let mut fig1 = Vec::new();
     let mut fig2 = Vec::new();
     let mut table1 = Vec::new();
@@ -535,14 +546,21 @@ impl KernelsSet {
 }
 
 /// Runs the characterization pass over the kernel-archetype roster
-/// only, one engine item per workload, reporting measured values
-/// against each [`KernelSpec`]'s design targets.
+/// only, reporting measured values against each [`KernelSpec`]'s design
+/// targets.
 pub fn kernels(scale: Scale) -> KernelsSet {
-    let workloads = util::filtered(rebalance_workloads::kernels());
-    let characterized = util::engine().map(&workloads, |w| util::characterize_workload(w, scale));
-    let rows = workloads
+    kernels_from(&characterize(
+        util::filtered(rebalance_workloads::kernels()),
+        scale,
+    ))
+}
+
+/// The kernels table from already-characterized workloads: one row per
+/// kernel archetype among `results`, in their order.
+pub(crate) fn kernels_from(results: &[(Workload, Characterization)]) -> KernelsSet {
+    let rows = results
         .iter()
-        .zip(characterized)
+        .filter(|(w, _)| w.suite() == Suite::Kernels)
         .map(|(w, c)| {
             let spec = KernelSpec::find(w.name()).expect("kernel roster name has a spec");
             let serial_only = w.profile().serial_fraction >= 1.0;

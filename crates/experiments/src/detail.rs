@@ -2,10 +2,12 @@
 //! (BT's 312 B blocks, UA's 252 KB static footprint, CoEVP's 35% serial
 //! share, the indirect-branch outliers, ...).
 
-use rebalance_workloads::{Scale, Suite};
+use rebalance_pintools::Characterization;
+use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{characterize_workload, f1, for_all_workloads, pct, TextTable};
+use crate::characterization;
+use crate::util::{self, f1, pct, TextTable};
 
 /// One benchmark's headline characterization numbers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,28 +84,34 @@ impl Detail {
 
 /// Characterizes every roster benchmark individually.
 pub fn run(scale: Scale) -> Detail {
-    let rows = for_all_workloads(|w| {
-        let c = characterize_workload(w, scale);
-        let mix = c.mix.total();
-        let branches = mix.branches().max(1);
-        use rebalance_isa::BranchKind;
-        let indirect = mix.count(BranchKind::IndirectBranch) + mix.count(BranchKind::IndirectCall);
-        DetailRow {
-            workload: w.name().to_owned(),
-            suite: w.suite(),
-            branch_fraction: mix.branch_fraction(),
-            indirect_share: indirect as f64 / branches as f64,
-            strongly_biased: c.bias.total.strongly_biased_fraction(),
-            backward: c.direction.total().backward_fraction(),
-            static_kb: c.footprint.static_kb(),
-            dyn99_kb: c.footprint.total.dyn99_kb(),
-            bbl_bytes: c.basic_blocks.total().avg_block_bytes(),
-            serial_share: w.profile().serial_fraction,
-        }
-    })
-    .into_iter()
-    .map(|(_, row)| row)
-    .collect();
+    from_characterized(&characterization::characterize(util::roster(), scale))
+}
+
+/// The detail table from already-characterized workloads, one row per
+/// workload in `results` order.
+pub(crate) fn from_characterized(results: &[(Workload, Characterization)]) -> Detail {
+    use rebalance_isa::BranchKind;
+    let rows = results
+        .iter()
+        .map(|(w, c)| {
+            let mix = c.mix.total();
+            let branches = mix.branches().max(1);
+            let indirect =
+                mix.count(BranchKind::IndirectBranch) + mix.count(BranchKind::IndirectCall);
+            DetailRow {
+                workload: w.name().to_owned(),
+                suite: w.suite(),
+                branch_fraction: mix.branch_fraction(),
+                indirect_share: indirect as f64 / branches as f64,
+                strongly_biased: c.bias.total.strongly_biased_fraction(),
+                backward: c.direction.total().backward_fraction(),
+                static_kb: c.footprint.static_kb(),
+                dyn99_kb: c.footprint.total.dyn99_kb(),
+                bbl_bytes: c.basic_blocks.total().avg_block_bytes(),
+                serial_share: w.profile().serial_fraction,
+            }
+        })
+        .collect();
     Detail { rows }
 }
 

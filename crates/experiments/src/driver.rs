@@ -6,7 +6,9 @@ use std::path::Path;
 
 use rebalance_workloads::Scale;
 
-use crate::{ablations, caches, characterization, cmp, detail, fetchsim, predictors, sampling};
+use crate::{
+    ablations, caches, characterization, cmp, detail, fetchsim, predictors, sampling, util,
+};
 
 /// Every exhibit name the driver understands, in paper order (the
 /// `kernels` exhibit — archetype characterization + predictor sweep —
@@ -102,8 +104,9 @@ fn dump_json<T: serde::Serialize>(dir: Option<&Path>, name: &str, value: &T) {
 /// Regenerates the given exhibits at `scale`, writing each rendering to
 /// `out` (and a JSON dump per exhibit into `json_dir` when given).
 /// Unknown names are skipped with a warning on stderr; exhibits sharing
-/// a sweep (the characterization set, the Figure 10 CMP runs) compute
-/// it once.
+/// a sweep (the per-workload characterizations behind Figures 1–4,
+/// Table I, `detail` and `kernels`; the Figure 10 CMP runs) compute it
+/// once.
 ///
 /// # Errors
 ///
@@ -114,10 +117,19 @@ pub fn run_exhibits(
     json_dir: Option<&Path>,
     out: &mut dyn Write,
 ) -> io::Result<()> {
-    let needs_characterization = exhibits
-        .iter()
-        .any(|e| matches!(e.as_str(), "fig1" | "fig2" | "table1" | "fig3" | "fig4"));
-    let characterization_set = needs_characterization.then(|| characterization::run(scale));
+    let wants = |names: &[&str]| exhibits.iter().any(|e| names.contains(&e.as_str()));
+    let needs_set = wants(&["fig1", "fig2", "table1", "fig3", "fig4"]);
+    // The kernel archetypes are part of the roster, so one roster pass
+    // serves every characterization exhibit.
+    let characterized = if needs_set || wants(&["detail"]) {
+        characterization::characterize(util::roster(), scale)
+    } else if wants(&["kernels"]) {
+        characterization::characterize(util::filtered(rebalance_workloads::kernels()), scale)
+    } else {
+        Vec::new()
+    };
+    let characterization_set =
+        needs_set.then(|| characterization::from_characterized(&characterized));
 
     let needs_cmp_runs = exhibits.iter().any(|e| e == "fig10");
     let cmp_runs = needs_cmp_runs.then(|| cmp::run_cmps(scale));
@@ -197,12 +209,12 @@ pub fn run_exhibits(
                 f.render()
             }
             "detail" => {
-                let d = detail::run(scale);
+                let d = detail::from_characterized(&characterized);
                 dump_json(json_dir, "detail", &d);
                 d.render()
             }
             "kernels" => {
-                let c = characterization::kernels(scale);
+                let c = characterization::kernels_from(&characterized);
                 let p = predictors::kernels_sweep(scale);
                 dump_json(json_dir, "kernels_characterization", &c);
                 dump_json(json_dir, "kernels_predictors", &p);

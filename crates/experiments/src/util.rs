@@ -1,30 +1,29 @@
-//! Shared harness utilities: the process-wide sweep engine, the
-//! optional trace cache, parallel mapping, and table rendering.
+//! Shared harness utilities: the process-wide sweep engine, parallel
+//! mapping, and table rendering.
 //!
 //! Every experiment routes its replays through the helpers here, so
 //! exhibits share one [`SweepEngine`] (one replay ledger, one thread
-//! pool) and — when [`TRACE_CACHE_ENV`] points at a directory — one
-//! on-disk [`TraceCache`]. [`sweep_report`] then accounts for the whole
-//! process in a single [`Report`], replacing the ad-hoc per-experiment
-//! engines and stat printing this module used to encourage.
+//! pool) — cached when [`TRACE_CACHE_ENV`] points at a directory, live
+//! otherwise. The engine alone decides where a replay's events come
+//! from, and its [`Report`](rebalance_trace::Report) accounts for the
+//! whole process.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use rebalance_coresim::{simulate_floorplans, simulate_floorplans_cached, CmpResult, CmpSim};
+use rebalance_coresim::{simulate_floorplans, CmpResult, CmpSim};
 use rebalance_pintools::{
     characterization_from_tools, characterization_tools, BbvTool, Characterization,
 };
 use rebalance_trace::{
-    Pintool, Report, RunSummary, SampledOutcome, SamplingConfig, SweepEngine, SweepOutcome,
-    TraceCache,
+    CachedReplay, Pintool, SampledOutcome, SamplingConfig, SweepEngine, SweepOutcome, TraceCache,
 };
 use rebalance_workloads::{Scale, Suite, Workload};
 
 /// Environment variable naming the trace-cache directory. When set,
 /// every experiment replay is served through the cache; when unset,
-/// traces are generated live (the pre-cache behavior).
+/// traces are generated live.
 pub const TRACE_CACHE_ENV: &str = "REBALANCE_TRACE_CACHE";
 
 /// Process-wide suite filter: [`u8::MAX`] means "no filter", anything
@@ -104,37 +103,29 @@ pub fn sampling() -> Option<SamplingConfig> {
     )
 }
 
-/// The process-wide sweep engine all experiments share.
+/// The process-wide sweep engine all experiments share: cached through
+/// the directory [`TRACE_CACHE_ENV`] names on first use, live when the
+/// variable is unset or the directory cannot be created (the
+/// experiments then run uncached rather than fail).
 pub fn engine() -> &'static SweepEngine {
     static ENGINE: OnceLock<SweepEngine> = OnceLock::new();
-    ENGINE.get_or_init(SweepEngine::new)
+    ENGINE.get_or_init(|| {
+        let engine = SweepEngine::new();
+        let cache = std::env::var_os(TRACE_CACHE_ENV).and_then(|dir| TraceCache::new(dir).ok());
+        match cache {
+            Some(cache) => engine.with_cache(cache),
+            None => engine,
+        }
+    })
 }
 
-/// The process-wide trace cache, opened from [`TRACE_CACHE_ENV`] on
-/// first use; `None` when the variable is unset or the directory cannot
-/// be created (the experiments then run uncached rather than fail).
+/// The shared engine's trace cache, if it has one.
 pub fn shared_cache() -> Option<&'static TraceCache> {
-    static CACHE: OnceLock<Option<TraceCache>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            let dir = std::env::var_os(TRACE_CACHE_ENV)?;
-            TraceCache::new(std::path::PathBuf::from(dir)).ok()
-        })
-        .as_ref()
-}
-
-/// Replay and cache accounting for everything run through [`engine`]
-/// so far — the one report the CLI prints.
-pub fn sweep_report() -> Report {
-    let report = engine().report();
-    match shared_cache() {
-        Some(cache) => report.with_cache(cache),
-        None => report,
-    }
+    engine().cache()
 }
 
 /// Sweeps `tools_for` over `workloads` at `scale`, one replay per
-/// workload — served from the shared cache when one is configured.
+/// workload.
 pub fn sweep<T, ToolsFn>(
     workloads: Vec<Workload>,
     scale: Scale,
@@ -144,32 +135,20 @@ where
     T: Pintool + Send,
     ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
 {
-    match shared_cache() {
-        Some(cache) => engine()
-            .sweep_cached(
-                cache,
-                workloads,
-                |w| w.trace_key(scale),
-                |w| w.trace(scale),
-                tools_for,
-            )
-            .expect("trace cache replay"),
-        None => engine().sweep(
+    engine()
+        .sweep(
             workloads,
-            |w| w.trace(scale).expect("valid roster profile"),
+            |w| w.trace_key(scale),
+            |w| w.trace(scale),
             tools_for,
-        ),
-    }
+        )
+        .expect("trace replay")
 }
 
 /// Sweeps `tools_for` over `workloads` at `scale` replaying only each
 /// trace's weighted representative intervals under `config` — the
 /// phase-sampled sibling of [`sweep`]. Tools must be weight-aware
 /// ([`Pintool::supports_sampled_replay`]).
-///
-/// Sampling slices a recorded snapshot, so without a shared cache the
-/// snapshots go to a [`TraceCache::temporary`] cache removed when the
-/// sweep returns (set [`TRACE_CACHE_ENV`] to keep them for warm runs).
 pub fn sweep_sampled<T, ToolsFn>(
     config: &SamplingConfig,
     workloads: Vec<Workload>,
@@ -181,17 +160,8 @@ where
     ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
 {
     let dims = config.dims;
-    let temporary;
-    let cache = match shared_cache() {
-        Some(cache) => cache,
-        None => {
-            temporary = TraceCache::temporary().expect("temp dir must be writable");
-            &temporary
-        }
-    };
     engine()
         .sweep_sampled(
-            cache,
             config,
             workloads,
             |w| w.trace_key(scale),
@@ -222,66 +192,46 @@ where
                 item: o.item,
                 tools: o.tools,
                 summary: o.summary,
+                sections: o.sections,
             })
             .collect(),
         None => sweep(workloads, scale, tools_for),
     }
 }
 
-/// Fans `tools` out over one replay of a single workload's trace —
-/// cached when a shared cache is configured.
+/// Fans `tools` out over one replay of a single workload's trace.
 pub fn fan_out<T: Pintool>(
     workload: &Workload,
     scale: Scale,
     tools: Vec<T>,
-) -> (Vec<T>, RunSummary) {
-    match shared_cache() {
-        Some(cache) => {
-            let (tools, replay) = engine()
-                .fan_out_cached(
-                    cache,
-                    &workload.trace_key(scale),
-                    || workload.trace(scale),
-                    tools,
-                )
-                .expect("trace cache replay");
-            (tools, replay.summary)
-        }
-        None => {
-            let trace = workload.trace(scale).expect("valid roster profile");
-            engine().fan_out(&trace, tools)
-        }
-    }
+) -> (Vec<T>, CachedReplay) {
+    engine()
+        .fan_out(&workload.trace_key(scale), || workload.trace(scale), tools)
+        .expect("trace replay")
 }
 
-/// Simulates `sims` over one workload — through the shared cache when
-/// one is configured.
+/// Simulates `sims` over one workload from one shared replay
+/// ([`simulate_floorplans`] on the shared engine).
 pub fn floorplans(sims: &[CmpSim], workload: &Workload, scale: Scale) -> Vec<CmpResult> {
-    match shared_cache() {
-        Some(cache) => simulate_floorplans_cached(sims, workload, scale, cache),
-        None => simulate_floorplans(sims, workload, scale),
-    }
-    .expect("valid roster profile")
+    simulate_floorplans(engine(), sims, workload, scale).expect("trace replay")
 }
 
-/// Characterizes one workload, streaming the dynamic events from the
-/// shared cache when one is configured. The program model is still
-/// synthesized either way (the static footprint is a static property a
-/// dynamic event stream cannot supply), but synthesis is cheap — the
-/// cache removes the expensive interpreter pass.
+/// Characterizes one workload: all five pintools observe one replay.
+/// The program model is still synthesized on a cache hit (the static
+/// footprint is a static property a dynamic event stream cannot
+/// supply), but synthesis is cheap — the cache removes the expensive
+/// interpreter pass.
 pub fn characterize_workload(workload: &Workload, scale: Scale) -> Characterization {
     let trace = workload.trace(scale).expect("valid roster profile");
-    match shared_cache() {
-        Some(cache) => {
-            let static_bytes = trace.program().static_bytes();
-            let mut tools = characterization_tools();
-            let replay = cache
-                .replay_with(&workload.trace_key(scale), move || Ok(trace), &mut tools)
-                .expect("trace cache replay");
-            characterization_from_tools(tools, static_bytes, replay.summary)
-        }
-        None => rebalance_pintools::characterize(&trace),
-    }
+    let static_bytes = trace.program().static_bytes();
+    let (mut tools, replay) = engine()
+        .fan_out(
+            &workload.trace_key(scale),
+            move || Ok(trace),
+            vec![characterization_tools()],
+        )
+        .expect("trace replay");
+    characterization_from_tools(tools.remove(0), static_bytes, replay.summary)
 }
 
 /// Maps `f` over `items` on the shared engine's executor
@@ -468,20 +418,23 @@ mod tests {
 
     #[test]
     fn sweep_report_tracks_the_shared_engine() {
-        let before = sweep_report().replays;
+        let before = engine().report().replays;
         let w = rebalance_workloads::find("EP").unwrap();
-        let (tools, summary) = fan_out(
+        let (tools, replay) = fan_out(
             &w,
             Scale::Smoke,
             vec![rebalance_trace::NullTool, rebalance_trace::NullTool],
         );
         assert_eq!(tools.len(), 2);
-        assert!(summary.instructions > 0);
+        assert!(replay.summary.instructions > 0);
         // Sibling tests tick the same process-wide engine concurrently,
         // so only a lower bound is stable here; the exact one-replay-
         // per-fan-out accounting is asserted on private engines in the
         // trace crate's tests.
-        assert!(sweep_report().replays > before, "the shared ledger moved");
+        assert!(
+            engine().report().replays > before,
+            "the shared ledger moved"
+        );
     }
 
     #[test]

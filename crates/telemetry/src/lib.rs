@@ -3,7 +3,7 @@
 //!
 //! Two primitives:
 //!
-//! * **Registry metrics** — [`Counter`], [`Gauge`], and [`Histogram`]
+//! * **Registry metrics** — [`Counter`] and [`Histogram`]
 //!   handles addressable by stable dotted names (`cache.hits`,
 //!   `replay.batches`). Handles are cheap `Arc`s over atomics;
 //!   call sites cache them in `OnceLock` statics so the hot path is a
@@ -23,8 +23,7 @@
 //! Naming scheme: dotted lowercase segments, most-general first
 //! (`cache.lock_wait_ns`). Metrics whose *value* is a duration carry a
 //! `_ns` suffix: they are machine-dependent, so run-to-run comparisons
-//! check them structurally, never by value. Gauges record
-//! configuration-like values (e.g. batch capacity).
+//! check them structurally, never by value.
 //!
 //! # Examples
 //!
@@ -51,7 +50,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::Instant;
 
@@ -60,7 +59,7 @@ use std::time::Instant;
 pub const METRICS_ENV: &str = "REBALANCE_METRICS";
 
 /// Version stamp written into [`MetricsSnapshot::to_json`] output.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Number of log2 buckets in every [`Histogram`].
 pub const HIST_BUCKETS: usize = 64;
@@ -125,26 +124,6 @@ impl Counter {
     }
 }
 
-/// A last-writer-wins `i64` metric for configuration-like values
-/// (thread counts, batch capacity).
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Records `v` (no-op while collection is off).
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// The current value.
-    pub fn value(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[derive(Debug)]
 struct HistogramInner {
     count: AtomicU64,
@@ -199,7 +178,6 @@ impl Histogram {
 #[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
@@ -215,15 +193,6 @@ pub fn counter(name: &str) -> Counter {
     let mut map = registry().counters.lock().expect("counter registry");
     map.entry(name.to_string())
         .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-        .clone()
-}
-
-/// Returns the process-wide gauge registered under `name`, creating it
-/// on first use.
-pub fn gauge(name: &str) -> Gauge {
-    let mut map = registry().gauges.lock().expect("gauge registry");
-    map.entry(name.to_string())
-        .or_insert_with(|| Gauge(Arc::new(AtomicI64::new(0))))
         .clone()
 }
 
@@ -404,8 +373,6 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Counter values by name (zero-valued counters are omitted).
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name (zero-valued gauges are omitted).
-    pub gauges: BTreeMap<String, i64>,
     /// Histograms by name (empty histograms are omitted).
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Root of the span tree. The root itself is synthetic
@@ -416,10 +383,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// True when the snapshot holds no metrics and no spans.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty() && self.spans.is_empty()
     }
 
     /// Verifies the attribution invariant on every recorded span: a
@@ -490,13 +454,6 @@ impl MetricsSnapshot {
         let _ = write!(out, "{{\"version\":{SNAPSHOT_VERSION}");
         out.push_str(",\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", esc(name), v);
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -576,13 +533,6 @@ impl MetricsSnapshot {
                 let _ = writeln!(out, "  ... and {} more", rows.len() - SHOWN);
             }
         }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            let w = width(self.gauges.keys().map(String::as_str));
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name:<w$} {v:>14}");
-            }
-        }
         if !self.histograms.is_empty() {
             out.push_str("histograms:\n");
             let w = width(self.histograms.keys().map(String::as_str));
@@ -607,7 +557,7 @@ impl MetricsSnapshot {
 /// Captures everything recorded so far: the live registry and the
 /// process span tree (including this thread's finished spans).
 ///
-/// Zero-valued counters/gauges and empty histograms are omitted so
+/// Zero-valued counters and empty histograms are omitted so
 /// that which handles happened to be *registered* (vs actually used)
 /// never shows up in run-to-run comparisons.
 pub fn snapshot() -> MetricsSnapshot {
@@ -626,12 +576,6 @@ pub fn snapshot() -> MetricsSnapshot {
             snap.counters.insert(name.clone(), v);
         }
     }
-    for (name, g) in reg.gauges.lock().expect("gauge registry").iter() {
-        let v = g.value();
-        if v != 0 {
-            snap.gauges.insert(name.clone(), v);
-        }
-    }
     for (name, h) in reg.histograms.lock().expect("histogram registry").iter() {
         let hs = h.snapshot();
         if hs.count > 0 {
@@ -642,15 +586,12 @@ pub fn snapshot() -> MetricsSnapshot {
     snap
 }
 
-/// Clears every counter, gauge, histogram, and the span tree. For
+/// Clears every counter, histogram, and the span tree. For
 /// benches and tests that measure deltas.
 pub fn reset() {
     let reg = registry();
     for c in reg.counters.lock().expect("counter registry").values() {
         c.0.store(0, Ordering::Relaxed);
-    }
-    for g in reg.gauges.lock().expect("gauge registry").values() {
-        g.0.store(0, Ordering::Relaxed);
     }
     for h in reg.histograms.lock().expect("histogram registry").values() {
         h.reset();
@@ -814,7 +755,8 @@ mod tests {
             },
         );
         let json = snap.to_json();
-        assert!(json.starts_with("{\"version\":1"), "{json}");
+        assert!(json.starts_with("{\"version\":2,"), "{json}");
+        assert!(!json.contains("gauges"), "{json}");
         // Sorted keys: a.one before b.two.
         assert!(json.find("a.one").unwrap() < json.find("b.two").unwrap());
         assert!(json.contains("\"spans\":{\"total_ns\":0,\"count\":0,\"children\":{\"root\":{\"total_ns\":42,\"count\":1}}}"));

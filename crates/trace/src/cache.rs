@@ -320,7 +320,8 @@ impl From<SnapshotError> for CacheError {
     }
 }
 
-/// Outcome of one cache-mediated replay.
+/// Outcome of one replay through a [`SweepEngine`](crate::SweepEngine)
+/// or a [`TraceCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CachedReplay {
     /// Aggregate counters of the delivered stream.
@@ -329,7 +330,7 @@ pub struct CachedReplay {
     /// the schedule it no longer has on hits).
     pub sections: BySection<u64>,
     /// `true` if the stream came from a snapshot, `false` if this call
-    /// generated (and recorded) it.
+    /// generated it (live, or recorded on a cache miss).
     pub from_cache: bool,
 }
 
@@ -419,16 +420,6 @@ pub struct TraceCache {
     /// keyed by [`TraceKey::fingerprint`]. Bounded by the number of
     /// distinct keys ever missed, which a sweep already enumerates.
     inflight: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
-    /// Remove `dir` on drop ([`TraceCache::temporary`]).
-    owns_dir: bool,
-}
-
-impl Drop for TraceCache {
-    fn drop(&mut self) {
-        if self.owns_dir {
-            let _ = fs::remove_dir_all(&self.dir);
-        }
-    }
 }
 
 impl TraceCache {
@@ -446,7 +437,6 @@ impl TraceCache {
             dir,
             counters: Counters::default(),
             inflight: Mutex::new(HashMap::new()),
-            owns_dir: false,
         };
         cache.sweep_orphans();
         Ok(cache)
@@ -454,8 +444,7 @@ impl TraceCache {
 
     /// A cache in a fresh unique directory under the system temp dir —
     /// for tests and benches. The caller owns cleanup
-    /// (`std::fs::remove_dir_all(cache.dir())`); see
-    /// [`TraceCache::temporary`] for a cache that cleans up after itself.
+    /// (`std::fs::remove_dir_all(cache.dir())`).
     ///
     /// # Errors
     ///
@@ -466,19 +455,6 @@ impl TraceCache {
         let dir =
             std::env::temp_dir().join(format!("rebalance-trace-cache-{}-{n}", std::process::id()));
         TraceCache::new(dir)
-    }
-
-    /// A [`TraceCache::scratch`] cache that owns its directory: the
-    /// directory and every snapshot in it are removed when the cache
-    /// is dropped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn temporary() -> io::Result<Self> {
-        let mut cache = TraceCache::scratch()?;
-        cache.owns_dir = true;
-        Ok(cache)
     }
 
     /// The cache's root directory.

@@ -9,8 +9,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheStats, TraceCache};
-use crate::sweep::SweepEngine;
+use crate::cache::CacheStats;
 
 /// Replay and cache accounting for one sweep (or one whole process).
 ///
@@ -21,7 +20,7 @@ use crate::sweep::SweepEngine;
 ///
 /// let engine = SweepEngine::new();
 /// // ... run sweeps ...
-/// let report = Report::from_engine(&engine);
+/// let report = engine.report();
 /// assert_eq!(report.replays, engine.replays());
 /// println!("{report}");
 /// ```
@@ -30,25 +29,12 @@ pub struct Report {
     /// Fan-out replays performed (one per `(workload, scale)` item,
     /// regardless of tool count — live and cached alike).
     pub replays: u64,
-    /// Cache accounting, when a [`TraceCache`] mediated the replays.
+    /// Cache accounting, when a [`TraceCache`](crate::TraceCache)
+    /// mediated the replays.
     pub cache: Option<CacheStats>,
 }
 
 impl Report {
-    /// A report over an engine's replay ledger, cache-less.
-    pub fn from_engine(engine: &SweepEngine) -> Self {
-        Report {
-            replays: engine.replays(),
-            cache: None,
-        }
-    }
-
-    /// Attaches a cache's counters.
-    pub fn with_cache(mut self, cache: &TraceCache) -> Self {
-        self.cache = Some(cache.stats());
-        self
-    }
-
     /// Trace generations performed: with a cache this is the cache's
     /// generation counter; without one every replay generated.
     pub fn generations(&self) -> u64 {
@@ -77,11 +63,12 @@ impl fmt::Display for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SweepEngine, TraceCache};
 
     #[test]
     fn cacheless_report_counts_every_replay_as_a_generation() {
         let engine = SweepEngine::new();
-        let r = Report::from_engine(&engine);
+        let r = engine.report();
         assert_eq!(r.replays, 0);
         assert_eq!(r.generations(), 0);
         assert!(r.cache.is_none());
@@ -109,10 +96,9 @@ mod tests {
 
     #[test]
     fn with_cache_reads_live_counters() {
-        let cache = TraceCache::scratch().unwrap();
-        let engine = SweepEngine::new();
-        let r = Report::from_engine(&engine).with_cache(&cache);
+        let engine = SweepEngine::new().with_cache(TraceCache::scratch().unwrap());
+        let r = engine.report();
         assert_eq!(r.cache, Some(CacheStats::default()));
-        let _ = std::fs::remove_dir_all(cache.dir());
+        let _ = std::fs::remove_dir_all(engine.cache().unwrap().dir());
     }
 }

@@ -14,6 +14,7 @@ use std::sync::{Arc, Mutex};
 
 use rebalance_telemetry as telemetry;
 
+use crate::by_section::BySection;
 use crate::cache::{CacheError, CachedReplay, TraceCache, TraceKey};
 use crate::exec::RunSummary;
 use crate::executor::Executor;
@@ -21,7 +22,8 @@ use crate::observer::Pintool;
 use crate::report::Report;
 use crate::sampling::{Fingerprinter, SamplePlan, SamplingConfig};
 use crate::schedule::SyntheticTrace;
-use crate::snapshot::Snapshot;
+use crate::section::Section;
+use crate::snapshot::{self, Snapshot};
 use crate::toolset::ToolSet;
 
 /// The result of sweeping one item: the item itself, its tools (now
@@ -35,6 +37,8 @@ pub struct SweepOutcome<I, T> {
     pub tools: Vec<T>,
     /// Interpreter summary of the single shared replay.
     pub summary: RunSummary,
+    /// Instructions per section of the replayed stream.
+    pub sections: BySection<u64>,
 }
 
 /// The result of sampling one item: like [`SweepOutcome`], plus the
@@ -48,6 +52,8 @@ pub struct SampledOutcome<I, T> {
     /// Summary of the **full** decoded stream (sampling skips delivery,
     /// not decoding — see [`Snapshot::replay_sampled`]).
     pub summary: RunSummary,
+    /// Instructions per section of the full stream.
+    pub sections: BySection<u64>,
     /// Instructions delivered to the tools (representatives only).
     pub delivered_instructions: u64,
     /// The plan the replay followed (shared via the engine's plan
@@ -56,7 +62,16 @@ pub struct SampledOutcome<I, T> {
 }
 
 /// Replays traces once per item through fan-out tool sets, in parallel
-/// across items.
+/// across items — and is the one place that decides where a replay's
+/// events come from.
+///
+/// An engine is built **live** ([`SweepEngine::new`]: every replay
+/// generates its trace and interprets it) or **cached**
+/// ([`SweepEngine::with_cache`]: every replay goes through the engine's
+/// [`TraceCache`], decoding a snapshot on a hit and recording one on a
+/// miss). Callers name each trace by its [`TraceKey`] plus a generator,
+/// and never branch on which kind of engine they hold; the event
+/// stream the tools observe is bit-identical either way.
 ///
 /// The engine counts every replay it performs ([`SweepEngine::replays`]),
 /// which is how tests assert the one-replay-per-item guarantee.
@@ -69,7 +84,7 @@ pub struct SampledOutcome<I, T> {
 /// ```
 /// use rebalance_trace::{
 ///     CondBehavior, IterCount, Phase, Pintool, ProgramBuilder, Schedule, Section,
-///     SweepEngine, SyntheticTrace, Terminator, TraceEvent,
+///     SweepEngine, SyntheticTrace, Terminator, TraceEvent, TraceKey,
 /// };
 ///
 /// #[derive(Default)]
@@ -95,11 +110,14 @@ pub struct SampledOutcome<I, T> {
 /// let trace = SyntheticTrace::new(program, schedule, 1);
 ///
 /// let engine = SweepEngine::new();
-/// let outcomes = engine.sweep(
-///     vec![trace],
-///     |t| t.clone(),
-///     |_| vec![Counter::default(), Counter::default()],
-/// );
+/// let outcomes = engine
+///     .sweep(
+///         vec![trace],
+///         |t| TraceKey::new("loop", "doc", t.seed(), 0),
+///         |t| Ok(t.clone()),
+///         |_| vec![Counter::default(), Counter::default()],
+///     )
+///     .unwrap();
 /// assert_eq!(engine.replays(), 1, "two tools, one replay");
 /// assert_eq!(outcomes[0].tools[0].0, 1_000);
 /// assert_eq!(outcomes[0].tools[1].0, 1_000);
@@ -107,6 +125,9 @@ pub struct SampledOutcome<I, T> {
 #[derive(Debug, Default)]
 pub struct SweepEngine {
     executor: Executor,
+    /// Where replays' events come from: `None` generates every trace
+    /// live, `Some` serves each through this cache.
+    cache: Option<TraceCache>,
     replays: AtomicU64,
     /// Sampled-replay plans, keyed by `(trace fingerprint, sampling
     /// config)` — building one costs a fingerprinting replay plus a
@@ -115,23 +136,32 @@ pub struct SweepEngine {
 }
 
 impl SweepEngine {
-    /// An engine on a machine-sized [`Executor`].
+    /// A live engine on a machine-sized [`Executor`].
     pub fn new() -> Self {
+        SweepEngine::with_executor(Executor::new())
+    }
+
+    /// A live engine on an explicit executor (e.g. single-threaded for
+    /// deterministic ordering in tests).
+    pub fn with_executor(executor: Executor) -> Self {
         SweepEngine {
-            executor: Executor::new(),
+            executor,
+            cache: None,
             replays: AtomicU64::new(0),
             plans: Mutex::new(HashMap::new()),
         }
     }
 
-    /// An engine on an explicit executor (e.g. single-threaded for
-    /// deterministic ordering in tests).
-    pub fn with_executor(executor: Executor) -> Self {
-        SweepEngine {
-            executor,
-            replays: AtomicU64::new(0),
-            plans: Mutex::new(HashMap::new()),
-        }
+    /// This engine, serving every replay through `cache` from now on.
+    pub fn with_cache(mut self, cache: TraceCache) -> Self {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// The cache this engine replays through (`None` for a live
+    /// engine).
+    pub fn cache(&self) -> Option<&TraceCache> {
+        self.cache.as_ref()
     }
 
     /// The executor items are scheduled on.
@@ -143,93 +173,64 @@ impl SweepEngine {
     ///
     /// Scoped to this engine instance, so replays elsewhere in the
     /// process never show up here: the engine keeps its own tally at
-    /// its single replay choke point ([`SweepEngine::fan_out`]).
+    /// its replay choke points ([`SweepEngine::fan_out`] and
+    /// [`SweepEngine::sweep_sampled`]).
     pub fn replays(&self) -> u64 {
         self.replays.load(Ordering::Relaxed)
     }
 
-    /// Replays `trace` once, feeding all `tools`; returns the tools and
-    /// the replay summary. This is the single choke point every sweep
-    /// goes through, so [`SweepEngine::replays`] is authoritative.
-    pub fn fan_out<T: Pintool>(
-        &self,
-        trace: &SyntheticTrace,
-        tools: Vec<T>,
-    ) -> (Vec<T>, RunSummary) {
-        let _replay_span = telemetry::span("replay");
-        let mut set = ToolSet::from_tools(tools);
-        let summary = trace.replay(&mut set);
-        self.replays.fetch_add(1, Ordering::Relaxed);
-        (set.into_inner(), summary)
-    }
-
-    /// Sweeps every item: builds its trace once, builds its tools, and
-    /// replays the trace exactly once through all of them. Items run in
-    /// parallel on the shared executor; outcomes keep item order.
-    pub fn sweep<I, T, TraceFn, ToolsFn>(
-        &self,
-        items: Vec<I>,
-        trace_of: TraceFn,
-        tools_for: ToolsFn,
-    ) -> Vec<SweepOutcome<I, T>>
-    where
-        I: Send + Sync,
-        T: Pintool + Send,
-        TraceFn: Fn(&I) -> SyntheticTrace + Sync,
-        ToolsFn: Fn(&I) -> Vec<T> + Sync,
-    {
-        let measured = self.executor.map(&items, |item| {
-            let trace = trace_of(item);
-            self.fan_out(&trace, tools_for(item))
-        });
-        items
-            .into_iter()
-            .zip(measured)
-            .map(|(item, (tools, summary))| SweepOutcome {
-                item,
-                tools,
-                summary,
-            })
-            .collect()
-    }
-
-    /// Replays the trace addressed by `key` once through all `tools`,
-    /// serving the stream from `cache` when possible: on a hit no
-    /// generation happens at all, on a miss the live replay is teed to
-    /// disk for next time. The cached counterpart of
-    /// [`SweepEngine::fan_out`].
+    /// Replays the trace addressed by `key` once, feeding all `tools`;
+    /// returns the tools and the replay's accounting (summary and
+    /// per-section instruction counts). A live engine runs
+    /// `make_trace` and interprets it; a cached engine runs it only on
+    /// a miss, teeing the live replay to disk for next time. This is
+    /// the single choke point every full replay goes through, so
+    /// [`SweepEngine::replays`] is authoritative.
     ///
     /// # Errors
     ///
-    /// Propagates [`CacheError`]: generation failures, or a decode
-    /// failure on a checksum-valid snapshot (a writer bug). Corrupt
-    /// files and unwritable cache directories do **not** error — see
-    /// [`TraceCache::replay_with`].
-    pub fn fan_out_cached<T: Pintool>(
+    /// Generation failures ([`CacheError::Generate`]), and for a cached
+    /// engine a decode failure on a checksum-valid snapshot (a writer
+    /// bug). Corrupt files and unwritable cache directories do **not**
+    /// error — see [`TraceCache::replay_with`].
+    pub fn fan_out<T: Pintool>(
         &self,
-        cache: &TraceCache,
         key: &TraceKey,
         make_trace: impl FnOnce() -> Result<SyntheticTrace, String>,
         tools: Vec<T>,
     ) -> Result<(Vec<T>, CachedReplay), CacheError> {
         let _replay_span = telemetry::span("replay");
         let mut set = ToolSet::from_tools(tools);
-        let replay = cache.replay_with(key, make_trace, &mut set)?;
+        let replay = match &self.cache {
+            Some(cache) => cache.replay_with(key, make_trace, &mut set)?,
+            None => {
+                let trace = make_trace().map_err(CacheError::Generate)?;
+                CachedReplay {
+                    summary: trace.replay(&mut set),
+                    sections: BySection::new(
+                        trace.schedule().section_instructions(Section::Serial),
+                        trace.schedule().section_instructions(Section::Parallel),
+                    ),
+                    from_cache: false,
+                }
+            }
+        };
         self.replays.fetch_add(1, Ordering::Relaxed);
         Ok((set.into_inner(), replay))
     }
 
-    /// [`SweepEngine::sweep`] with every replay mediated by `cache`:
-    /// items whose trace is already snapshotted are decoded from disk
-    /// and never regenerated. `trace_of` is only invoked on cache
-    /// misses — a fully warm sweep performs **zero** trace generations.
+    /// Sweeps every item: builds its tools and replays its trace
+    /// (addressed by `key_of`, generated by `trace_of` when the engine
+    /// needs it) exactly once through all of them. Items run in
+    /// parallel on the shared executor; outcomes keep item order. On a
+    /// cached engine a fully warm sweep performs **zero** trace
+    /// generations.
     ///
     /// # Errors
     ///
     /// The first [`CacheError`] any item hits.
-    pub fn sweep_cached<I, T, KeyFn, TraceFn, ToolsFn>(
+    pub fn sweep<I, T, KeyFn, TraceFn, ToolsFn>(
         &self,
-        cache: &TraceCache,
         items: Vec<I>,
         key_of: KeyFn,
         trace_of: TraceFn,
@@ -243,7 +244,7 @@ impl SweepEngine {
         ToolsFn: Fn(&I) -> Vec<T> + Sync,
     {
         let measured = self.executor.map(&items, |item| {
-            self.fan_out_cached(cache, &key_of(item), || trace_of(item), tools_for(item))
+            self.fan_out(&key_of(item), || trace_of(item), tools_for(item))
         });
         items
             .into_iter()
@@ -254,9 +255,27 @@ impl SweepEngine {
                     item,
                     tools,
                     summary: replay.summary,
+                    sections: replay.sections,
                 })
             })
             .collect()
+    }
+
+    /// The snapshot bytes of `key`'s trace: through the cache
+    /// ([`TraceCache::snapshot_bytes`]), or for a live engine encoded in
+    /// memory from one generation and dropped after use.
+    fn snapshot_bytes(
+        &self,
+        key: &TraceKey,
+        generate: impl FnOnce() -> Result<SyntheticTrace, String>,
+    ) -> Result<Vec<u8>, CacheError> {
+        match &self.cache {
+            Some(cache) => cache.snapshot_bytes(key, generate),
+            None => {
+                let trace = generate().map_err(CacheError::Generate)?;
+                Ok(snapshot::snapshot_bytes(&trace, key.fingerprint())?.0)
+            }
+        }
     }
 
     /// Returns (building on first use) the sampling plan for `key`'s
@@ -290,9 +309,9 @@ impl SweepEngine {
         Ok(plan)
     }
 
-    /// [`SweepEngine::sweep_cached`]'s phase-sampled sibling: each item
-    /// obtains its snapshot **bytes** once through `cache`
-    /// ([`TraceCache::snapshot_bytes`]), fingerprints them into a
+    /// [`SweepEngine::sweep`]'s phase-sampled sibling: each item
+    /// obtains its snapshot bytes once (from the cache, or encoded in
+    /// memory by a live engine), fingerprints them into a
     /// [`SamplePlan`] (cached per engine), and replays only the plan's
     /// weighted representatives through the tools
     /// ([`Snapshot::replay_sampled`]). Tools must be weight-aware
@@ -301,10 +320,8 @@ impl SweepEngine {
     /// # Errors
     ///
     /// The first [`CacheError`] any item hits.
-    #[allow(clippy::too_many_arguments)]
     pub fn sweep_sampled<I, T, FP, KeyFn, TraceFn, ToolsFn, FpFn>(
         &self,
-        cache: &TraceCache,
         config: &SamplingConfig,
         items: Vec<I>,
         key_of: KeyFn,
@@ -324,23 +341,24 @@ impl SweepEngine {
         let measured = self.executor.map(&items, |item| {
             let _replay_span = telemetry::span("replay");
             let key = key_of(item);
-            let bytes = cache.snapshot_bytes(&key, || trace_of(item))?;
+            let bytes = self.snapshot_bytes(&key, || trace_of(item))?;
             let snapshot = Snapshot::parse(&bytes)?;
             let plan = self.plan_for(&key, config, &snapshot, &fingerprinter)?;
             let mut set = ToolSet::from_tools(tools_for(item));
             let replay = snapshot.replay_sampled(&mut set, &plan)?;
             self.replays.fetch_add(1, Ordering::Relaxed);
-            Ok::<_, CacheError>((set.into_inner(), replay, plan))
+            Ok::<_, CacheError>((set.into_inner(), replay, snapshot.info().sections, plan))
         });
         items
             .into_iter()
             .zip(measured)
             .map(|(item, measured)| {
-                let (tools, replay, plan) = measured?;
+                let (tools, replay, sections, plan) = measured?;
                 Ok(SampledOutcome {
                     item,
                     tools,
                     summary: replay.summary,
+                    sections,
                     delivered_instructions: replay.delivered_instructions,
                     plan,
                 })
@@ -348,10 +366,13 @@ impl SweepEngine {
             .collect()
     }
 
-    /// This engine's accounting as a printable [`Report`] (attach cache
-    /// stats with [`Report::with_cache`]).
+    /// This engine's accounting — its replay ledger and, for a cached
+    /// engine, its cache's counters — as a printable [`Report`].
     pub fn report(&self) -> Report {
-        Report::from_engine(self)
+        Report {
+            replays: self.replays(),
+            cache: self.cache().map(TraceCache::stats),
+        }
     }
 
     /// Parallel map over independent items on the engine's executor —
@@ -408,12 +429,27 @@ mod tests {
         }
     }
 
+    fn key(i: u64) -> TraceKey {
+        TraceKey::new(format!("w{i}"), "t", i, 0)
+    }
+
+    fn cached_engine() -> SweepEngine {
+        SweepEngine::new().with_cache(TraceCache::scratch().unwrap())
+    }
+
     #[test]
     fn fan_out_feeds_every_tool_identically() {
         let engine = SweepEngine::new();
-        let trace = tiny_trace(2_000, 3);
-        let (tools, summary) = engine.fan_out(&trace, vec![PcSum::default(); 3]);
-        assert_eq!(summary.instructions, 2_000);
+        let (tools, replay) = engine
+            .fan_out(
+                &key(3),
+                || Ok(tiny_trace(2_000, 3)),
+                vec![PcSum::default(); 3],
+            )
+            .unwrap();
+        assert_eq!(replay.summary.instructions, 2_000);
+        assert_eq!(replay.sections, BySection::new(0, 2_000));
+        assert!(!replay.from_cache);
         assert_eq!(engine.replays(), 1);
         assert!(tools[0].0 > 0);
         assert!(tools.iter().all(|t| t.0 == tools[0].0));
@@ -423,11 +459,14 @@ mod tests {
     fn sweep_replays_once_per_item_not_per_tool() {
         let engine = SweepEngine::new();
         let items: Vec<u64> = (0..7).collect();
-        let outcomes = engine.sweep(
-            items,
-            |&seed| tiny_trace(500, seed),
-            |_| (0..11).map(|_| PcSum::default()).collect(),
-        );
+        let outcomes = engine
+            .sweep(
+                items,
+                |&seed| key(seed),
+                |&seed| Ok(tiny_trace(500, seed)),
+                |_| (0..11).map(|_| PcSum::default()).collect(),
+            )
+            .unwrap();
         assert_eq!(outcomes.len(), 7);
         assert_eq!(engine.replays(), 7, "7 items x 11 tools = 7 replays");
         for (i, o) in outcomes.iter().enumerate() {
@@ -440,11 +479,14 @@ mod tests {
     #[test]
     fn sweep_matches_sequential_single_tool_replays() {
         let engine = SweepEngine::with_executor(Executor::with_threads(1));
-        let outcomes = engine.sweep(
-            vec![1u64, 2],
-            |&seed| tiny_trace(800, seed),
-            |_| vec![PcSum::default(), PcSum::default()],
-        );
+        let outcomes = engine
+            .sweep(
+                vec![1u64, 2],
+                |&seed| key(seed),
+                |&seed| Ok(tiny_trace(800, seed)),
+                |_| vec![PcSum::default(), PcSum::default()],
+            )
+            .unwrap();
         for (seed, outcome) in [1u64, 2].into_iter().zip(&outcomes) {
             let mut alone = PcSum::default();
             tiny_trace(800, seed).replay(&mut alone);
@@ -455,20 +497,19 @@ mod tests {
     }
 
     #[test]
-    fn sweep_cached_generates_once_then_serves_hits() {
-        let cache = TraceCache::scratch().unwrap();
-        let engine = SweepEngine::new();
+    fn cached_sweep_generates_once_then_serves_hits() {
+        let engine = cached_engine();
         let run = |engine: &SweepEngine| {
             engine
-                .sweep_cached(
-                    &cache,
+                .sweep(
                     (0..3u64).collect(),
-                    |&i| TraceKey::new(format!("w{i}"), "t", i, 0),
+                    |&i| key(i),
                     |&i| Ok(tiny_trace(300, i)),
                     |_| vec![PcSum::default(); 2],
                 )
                 .unwrap()
         };
+        let cache = engine.cache().unwrap();
         let cold = run(&engine);
         assert_eq!(cache.stats().generations, 3, "cold run generates each item");
         let warm = run(&engine);
@@ -480,11 +521,14 @@ mod tests {
             6,
             "replays tick for hits and misses alike"
         );
-        for (a, b) in cold.iter().zip(&warm) {
+        let live = run(&SweepEngine::new());
+        for ((a, b), c) in cold.iter().zip(&warm).zip(&live) {
             assert_eq!(a.tools[0].0, b.tools[0].0, "cached stream is identical");
+            assert_eq!(a.tools[0].0, c.tools[0].0, "live stream is identical");
             assert_eq!(a.summary, b.summary);
+            assert_eq!(a.sections, c.sections, "footer and schedule agree");
         }
-        let report = engine.report().with_cache(&cache);
+        let report = engine.report();
         assert_eq!(report.replays, 6);
         assert_eq!(report.generations(), 3);
         std::fs::remove_dir_all(cache.dir()).unwrap();
@@ -546,29 +590,34 @@ mod tests {
         }
     }
 
+    fn sample(
+        engine: &SweepEngine,
+        config: &crate::SamplingConfig,
+        items: Vec<u64>,
+        budget: u64,
+    ) -> Vec<SampledOutcome<u64, WeightedCount>> {
+        engine
+            .sweep_sampled(
+                config,
+                items,
+                |&i| key(i),
+                |&i| Ok(tiny_trace(budget, i)),
+                |_| vec![WeightedCount::default(); 2],
+                ConstFp::default,
+            )
+            .unwrap()
+    }
+
     #[test]
     fn sweep_sampled_reproduces_totals_from_one_representative() {
-        let cache = TraceCache::scratch().unwrap();
-        let engine = SweepEngine::new();
+        let engine = cached_engine();
         let config = crate::SamplingConfig::default()
             .with_intervals(10)
             .with_k(2);
-        let run = |engine: &SweepEngine| {
-            engine
-                .sweep_sampled(
-                    &cache,
-                    &config,
-                    vec![1u64, 2],
-                    |&i| TraceKey::new(format!("w{i}"), "t", i, 0),
-                    |&i| Ok(tiny_trace(2_000, i)),
-                    |_| vec![WeightedCount::default(); 2],
-                    ConstFp::default,
-                )
-                .unwrap()
-        };
-        let cold = run(&engine);
+        let cold = sample(&engine, &config, vec![1, 2], 2_000);
         for o in &cold {
             assert_eq!(o.summary.instructions, 2_000, "full stream still decoded");
+            assert_eq!(o.sections, BySection::new(0, 2_000));
             // Identical fingerprints: the pinned startup interval
             // (weight 1) plus one weight-9 cluster whose representative
             // is interval 1 — adjacent to the pin, so no warmup window.
@@ -581,40 +630,33 @@ mod tests {
                 assert_eq!(t.weight_calls, 2);
             }
         }
-        let generations = cache.stats().generations;
-        assert_eq!(generations, 2, "one snapshot pass per item");
+        let cache = engine.cache().unwrap();
+        assert_eq!(cache.stats().generations, 2, "one snapshot pass per item");
 
-        let warm = run(&engine);
+        let warm = sample(&engine, &config, vec![1, 2], 2_000);
         assert_eq!(
             cache.stats().generations,
             2,
             "warm sweep regenerates nothing"
         );
-        for (a, b) in cold.iter().zip(&warm) {
+        // A live engine encodes the same snapshots in memory.
+        let live = sample(&SweepEngine::new(), &config, vec![1, 2], 2_000);
+        for ((a, b), c) in cold.iter().zip(&warm).zip(&live) {
             assert_eq!(a.tools[0].insts, b.tools[0].insts);
             assert!(Arc::ptr_eq(&a.plan, &b.plan), "plans come from the cache");
+            assert_eq!((a.plan.as_ref(), a.summary), (c.plan.as_ref(), c.summary));
+            assert_eq!(a.delivered_instructions, c.delivered_instructions);
         }
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }
 
     #[test]
     fn sweep_sampled_degenerates_to_full_replay_for_large_k() {
-        let cache = TraceCache::scratch().unwrap();
         let engine = SweepEngine::new();
         let config = crate::SamplingConfig::default()
             .with_intervals(4)
             .with_k(64);
-        let out = engine
-            .sweep_sampled(
-                &cache,
-                &config,
-                vec![5u64],
-                |&i| TraceKey::new("w", "t", i, 0),
-                |&i| Ok(tiny_trace(1_000, i)),
-                |_| vec![WeightedCount::default()],
-                ConstFp::default,
-            )
-            .unwrap();
+        let out = sample(&engine, &config, vec![5], 1_000);
         assert!(out[0].plan.is_full_replay());
         assert_eq!(out[0].delivered_instructions, 1_000);
         assert_eq!(out[0].tools[0].insts, 1_000);
@@ -622,7 +664,6 @@ mod tests {
             out[0].tools[0].weight_calls, 0,
             "degenerate plans take the unsampled path"
         );
-        std::fs::remove_dir_all(cache.dir()).unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Concurrency guarantees of the shared on-disk trace cache, which
 //! separate `rebalance` processes may use at the same time: many
-//! threads hammer one shared [`TraceCache`] with overlapping rosters —
+//! threads hammer one cached [`SweepEngine`] with overlapping rosters —
 //! nothing corrupts, nothing is rejected, every distinct key is
 //! generated exactly once (single-flight), and the merged analysis
 //! results are byte-identical to a single-threaded pass.
@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
 
-use rebalance_trace::{Pintool, TraceCache, TraceEvent};
+use rebalance_trace::{Pintool, SweepEngine, TraceCache, TraceEvent};
 use rebalance_workloads::Scale;
 
 /// Six workloads: distinct suites, distinct trace shapes, and small
@@ -43,28 +43,32 @@ impl Pintool for Digest {
     }
 }
 
-/// Replays one workload through `cache`, returning its digest.
-fn replay(cache: &TraceCache, name: &str) -> Digest {
+/// An engine replaying through a cache rooted at `dir`.
+fn cached_engine(dir: &std::path::Path) -> SweepEngine {
+    SweepEngine::new().with_cache(TraceCache::new(dir).expect("temp dir"))
+}
+
+/// Replays one workload through `engine`, returning its digest.
+fn replay(engine: &SweepEngine, name: &str) -> Digest {
     let w = rebalance_workloads::find(name).expect("roster workload");
-    let mut digest = Digest::default();
-    cache
-        .replay_with(
+    let (tools, _) = engine
+        .fan_out(
             &w.trace_key(Scale::Smoke),
             || w.trace(Scale::Smoke),
-            &mut digest,
+            vec![Digest::default()],
         )
         .expect("cached replay");
-    digest
+    tools[0]
 }
 
 #[test]
 fn concurrent_torture_matches_single_process_byte_for_byte() {
     // Single-process reference: one sequential pass over the roster.
     let ref_dir = scratch_dir("ref");
-    let reference_cache = TraceCache::new(&ref_dir).expect("temp dir");
+    let reference_engine = cached_engine(&ref_dir);
     let reference: BTreeMap<&str, Digest> = ROSTER
         .iter()
-        .map(|name| (*name, replay(&reference_cache, name)))
+        .map(|name| (*name, replay(&reference_engine, name)))
         .collect();
 
     // Torture: 8 threads x 2 rounds over rotated (fully overlapping)
@@ -72,11 +76,11 @@ fn concurrent_torture_matches_single_process_byte_for_byte() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 2;
     let dir = scratch_dir("torture");
-    let cache = Arc::new(TraceCache::new(&dir).expect("temp dir"));
+    let engine = Arc::new(cached_engine(&dir));
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let cache = Arc::clone(&cache);
+            let engine = Arc::clone(&engine);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
@@ -84,7 +88,7 @@ fn concurrent_torture_matches_single_process_byte_for_byte() {
                 for round in 0..ROUNDS {
                     for i in 0..ROSTER.len() {
                         let name = ROSTER[(i + t + round) % ROSTER.len()];
-                        out.push((name, replay(&cache, name)));
+                        out.push((name, replay(&engine, name)));
                     }
                 }
                 out
@@ -104,8 +108,9 @@ fn concurrent_torture_matches_single_process_byte_for_byte() {
     }
 
     // Nothing corrupted, nothing rejected, every key generated once.
-    let stats = cache.stats();
+    let stats = engine.cache().expect("cached engine").stats();
     assert_eq!(replays, (THREADS * ROUNDS * ROSTER.len()) as u64);
+    assert_eq!(engine.replays(), replays, "the engine counts every replay");
     assert_eq!(stats.rejected, 0, "no corrupt snapshots under contention");
     assert_eq!(stats.write_failures, 0);
     assert_eq!(

@@ -99,11 +99,14 @@ fn grid_sweep_costs_one_replay_per_workload_and_matches_solo_runs() {
     // The engine counts its own replays, so tests running in parallel
     // cannot move this count.
     let engine = SweepEngine::new();
-    let outcomes = engine.sweep(
-        workloads,
-        |w| w.trace(Scale::Smoke).expect("roster profile"),
-        |_| grid_sims(),
-    );
+    let outcomes = engine
+        .sweep(
+            workloads,
+            |w| w.trace_key(Scale::Smoke),
+            |w| w.trace(Scale::Smoke),
+            |_| grid_sims(),
+        )
+        .unwrap();
     assert_eq!(
         engine.replays(),
         n_workloads as u64,
@@ -130,14 +133,13 @@ fn grid_sweep_costs_one_replay_per_workload_and_matches_solo_runs() {
 
 #[test]
 fn warm_cache_grid_sweep_generates_no_traces() {
-    let cache = TraceCache::scratch().unwrap();
-    let engine = SweepEngine::new();
+    let engine = SweepEngine::new().with_cache(TraceCache::scratch().unwrap());
+    let cache = engine.cache().unwrap();
     let names = ["MG", "k.stencil"];
     let run = || {
         let workloads: Vec<_> = names.iter().map(|n| find(n).unwrap()).collect();
         engine
-            .sweep_cached(
-                &cache,
+            .sweep(
                 workloads,
                 |w| w.trace_key(Scale::Smoke),
                 |w| w.trace(Scale::Smoke),

@@ -11,8 +11,12 @@
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorReport, PredictorSim};
 use rebalance::frontend::PredictorChoice;
-use rebalance::pintools::{characterization_from_tools, characterization_tools, characterize};
-use rebalance::trace::{FnTool, Report, Snapshot, SweepEngine, TraceCache, TraceEvent};
+use std::path::Path;
+
+use rebalance::pintools::{
+    characterization_from_tools, characterization_tools, characterize, Characterization,
+};
+use rebalance::trace::{FnTool, Snapshot, SweepEngine, SweepOutcome, TraceCache, TraceEvent};
 use rebalance::workloads::{find, Workload};
 use rebalance::Scale;
 
@@ -25,10 +29,7 @@ fn predictor_sims() -> Vec<PredictorSim<Box<dyn DirectionPredictor>>> {
 }
 
 fn reports(
-    outcomes: &[rebalance::trace::SweepOutcome<
-        Workload,
-        PredictorSim<Box<dyn DirectionPredictor>>,
-    >],
+    outcomes: &[SweepOutcome<Workload, PredictorSim<Box<dyn DirectionPredictor>>>],
 ) -> Vec<Vec<PredictorReport>> {
     outcomes
         .iter()
@@ -68,61 +69,79 @@ fn recorded_snapshot_replays_bit_identically() {
     );
 }
 
+/// An engine caching into `dir` (opened afresh, so each engine's
+/// cache counters start at zero).
+fn cached_engine(dir: &Path) -> SweepEngine {
+    SweepEngine::new().with_cache(TraceCache::new(dir).unwrap())
+}
+
+fn predictor_sweep(
+    engine: &SweepEngine,
+    workloads: Vec<Workload>,
+) -> Vec<SweepOutcome<Workload, PredictorSim<Box<dyn DirectionPredictor>>>> {
+    engine
+        .sweep(
+            workloads,
+            |w| w.trace_key(Scale::Smoke),
+            |w| w.trace(Scale::Smoke),
+            |_| predictor_sims(),
+        )
+        .expect("replay")
+}
+
+/// Characterizes `w` through `engine`, one replay of all five tools.
+fn characterize_through(engine: &SweepEngine, w: &Workload) -> Characterization {
+    let static_bytes = w.trace(Scale::Smoke).unwrap().program().static_bytes();
+    let (mut tools, replay) = engine
+        .fan_out(
+            &w.trace_key(Scale::Smoke),
+            || w.trace(Scale::Smoke),
+            vec![characterization_tools()],
+        )
+        .unwrap();
+    characterization_from_tools(tools.remove(0), static_bytes, replay.summary)
+}
+
 #[test]
 fn cache_warm_sweep_performs_zero_generations() {
-    let cache = TraceCache::scratch().unwrap();
+    let dir = TraceCache::scratch().unwrap().dir().to_path_buf();
     let names = ["CG", "FT", "gcc", "swim"];
-    let scale = Scale::Smoke;
-
-    let cached_sweep = |engine: &SweepEngine| {
-        engine
-            .sweep_cached(
-                &cache,
-                workloads(&names),
-                |w| w.trace_key(scale),
-                |w| w.trace(scale),
-                |_| predictor_sims(),
-            )
-            .expect("cache replay")
-    };
+    let n = names.len() as u64;
 
     // Cold: every workload is generated once and recorded.
-    let cold_engine = SweepEngine::new();
-    let cold = cached_sweep(&cold_engine);
-    let after_cold = cache.stats();
-    assert_eq!(after_cold.generations, names.len() as u64);
-    assert_eq!(after_cold.misses, names.len() as u64);
+    let cold_engine = cached_engine(&dir);
+    let cold = predictor_sweep(&cold_engine, workloads(&names));
+    let after_cold = cold_engine.cache().unwrap().stats();
+    assert_eq!(after_cold.generations, n);
+    assert_eq!(after_cold.misses, n);
     assert_eq!(after_cold.hits, 0);
-    assert_eq!(cold_engine.replays(), names.len() as u64);
+    assert_eq!(cold_engine.replays(), n);
 
     // Warm: zero generations, all hits — the acceptance criterion.
-    let warm_engine = SweepEngine::new();
-    let warm = cached_sweep(&warm_engine);
-    let delta = cache.stats().since(&after_cold);
+    let warm_engine = cached_engine(&dir);
+    let warm = predictor_sweep(&warm_engine, workloads(&names));
+    let stats = warm_engine.cache().unwrap().stats();
     assert_eq!(
-        delta.generations, 0,
+        stats.generations, 0,
         "a cache-warm sweep must not generate any trace"
     );
-    assert_eq!(delta.hits, names.len() as u64);
-    assert_eq!(delta.misses, 0);
-    assert_eq!(warm_engine.replays(), names.len() as u64);
+    assert_eq!(stats.hits, n);
+    assert_eq!(stats.misses, 0);
+    assert_eq!(warm_engine.replays(), n);
 
     // Both cached runs match an uncached sweep bit-identically.
-    let live = SweepEngine::new().sweep(
-        workloads(&names),
-        |w| w.trace(scale).expect("roster profile"),
-        |_| predictor_sims(),
-    );
+    let live = predictor_sweep(&SweepEngine::new(), workloads(&names));
     assert_eq!(reports(&cold), reports(&live), "recording replay != live");
     assert_eq!(reports(&warm), reports(&live), "decoded replay != live");
 
-    // The shared report surfaces the same accounting.
-    let report = Report::from_engine(&warm_engine).with_cache(&cache);
-    assert_eq!(report.replays, names.len() as u64);
-    assert_eq!(report.generations(), names.len() as u64, "cumulative");
+    // The engine's report surfaces the same accounting.
+    let report = warm_engine.report();
+    assert_eq!(report.replays, n);
+    assert_eq!(report.generations(), 0);
+    assert_eq!(report.cache.map(|c| c.hits), Some(n));
     assert!(report.to_string().contains("hits"));
 
-    let _ = std::fs::remove_dir_all(cache.dir());
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// Differential oracle over the kernel-archetype suite: cached-snapshot
@@ -132,23 +151,25 @@ fn cache_warm_sweep_performs_zero_generations() {
 /// schedules survive the snapshot encoding exactly.
 #[test]
 fn kernel_archetypes_cached_replay_matches_fresh() {
-    let cache = TraceCache::scratch().unwrap();
+    let engine = SweepEngine::new().with_cache(TraceCache::scratch().unwrap());
+    let cache = engine.cache().unwrap();
     let kernels = rebalance::workloads::kernels();
     assert!(kernels.len() >= 6, "six archetypes minimum");
-    let scale = Scale::Smoke;
 
     for w in &kernels {
-        let trace = w.trace(scale).unwrap();
-        let live = characterize(&trace);
-        let run_cached = || {
-            let mut tools = characterization_tools();
-            let replay = cache
-                .replay_with(&w.trace_key(scale), || w.trace(scale), &mut tools)
-                .unwrap();
-            characterization_from_tools(tools, trace.program().static_bytes(), replay.summary)
-        };
-        assert_eq!(run_cached(), live, "{}: recording pass", w.name());
-        assert_eq!(run_cached(), live, "{}: decoded pass", w.name());
+        let live = characterize(&w.trace(Scale::Smoke).unwrap());
+        assert_eq!(
+            characterize_through(&engine, w),
+            live,
+            "{}: recording pass",
+            w.name()
+        );
+        assert_eq!(
+            characterize_through(&engine, w),
+            live,
+            "{}: decoded pass",
+            w.name()
+        );
     }
     assert_eq!(
         cache.stats().generations,
@@ -159,27 +180,12 @@ fn kernel_archetypes_cached_replay_matches_fresh() {
     // The full sweep path: cold (recording) and warm (decoding) engine
     // sweeps over the kernels suite match an uncached sweep, and the
     // warm sweep generates nothing.
-    let cached_sweep = |engine: &SweepEngine| {
-        engine
-            .sweep_cached(
-                &cache,
-                rebalance::workloads::kernels(),
-                |w| w.trace_key(scale),
-                |w| w.trace(scale),
-                |_| predictor_sims(),
-            )
-            .expect("cache replay")
-    };
     let before = cache.stats();
-    let cold = cached_sweep(&SweepEngine::new());
-    let warm = cached_sweep(&SweepEngine::new());
+    let cold = predictor_sweep(&engine, rebalance::workloads::kernels());
+    let warm = predictor_sweep(&engine, rebalance::workloads::kernels());
     let delta = cache.stats().since(&before);
     assert_eq!(delta.generations, 0, "kernels were already recorded");
-    let live = SweepEngine::new().sweep(
-        rebalance::workloads::kernels(),
-        |w| w.trace(scale).expect("kernel profile"),
-        |_| predictor_sims(),
-    );
+    let live = predictor_sweep(&SweepEngine::new(), rebalance::workloads::kernels());
     assert_eq!(reports(&cold), reports(&live));
     assert_eq!(reports(&warm), reports(&live));
 
@@ -197,7 +203,7 @@ fn cached_cmp_simulation_matches_live() {
         .into_iter()
         .map(CmpSim::new)
         .collect();
-    let live = simulate_floorplans(&sims, &w, Scale::Smoke).unwrap();
+    let live = simulate_floorplans(&SweepEngine::new(), &sims, &w, Scale::Smoke).unwrap();
     let cold = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache).unwrap();
     let warm = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache).unwrap();
     assert_eq!(cold, live);
@@ -213,21 +219,24 @@ fn cached_cmp_simulation_matches_live() {
 
 #[test]
 fn cached_characterization_matches_live() {
-    let cache = TraceCache::scratch().unwrap();
+    let engine = SweepEngine::new().with_cache(TraceCache::scratch().unwrap());
     let w = find("LULESH").unwrap();
-    let trace = w.trace(Scale::Smoke).unwrap();
-    let live = characterize(&trace);
+    let live = characterize(&w.trace(Scale::Smoke).unwrap());
 
-    let run_cached = || {
-        let mut tools = characterization_tools();
-        let replay = cache
-            .replay_with(&w.trace_key(Scale::Smoke), || Ok(trace.clone()), &mut tools)
-            .unwrap();
-        characterization_from_tools(tools, trace.program().static_bytes(), replay.summary)
-    };
-    assert_eq!(run_cached(), live, "recording pass");
-    assert_eq!(run_cached(), live, "decoded pass");
+    assert_eq!(characterize_through(&engine, &w), live, "recording pass");
+    assert_eq!(characterize_through(&engine, &w), live, "decoded pass");
+    assert_eq!(
+        characterize_through(&SweepEngine::new(), &w),
+        live,
+        "live engine"
+    );
+    let cache = engine.cache().unwrap();
     assert_eq!(cache.stats().hits, 1);
+    assert_eq!(
+        engine.replays(),
+        2,
+        "every characterization is a counted replay"
+    );
 
     let _ = std::fs::remove_dir_all(cache.dir());
 }

@@ -103,11 +103,14 @@ fn sweep_replays_each_workload_exactly_once() {
     let n_workloads = workloads.len();
 
     let engine = SweepEngine::new();
-    let outcomes = engine.sweep(
-        workloads,
-        |w| w.trace(Scale::Smoke).expect("roster profile"),
-        |_| predictor_sims(),
-    );
+    let outcomes = engine
+        .sweep(
+            workloads,
+            |w| w.trace_key(Scale::Smoke),
+            |w| w.trace(Scale::Smoke),
+            |_| predictor_sims(),
+        )
+        .unwrap();
 
     assert_eq!(outcomes.len(), n_workloads);
     assert!(outcomes.iter().all(|o| o.tools.len() == 9));
@@ -129,9 +132,11 @@ fn parallel_sweep_matches_single_threaded_sweep() {
         engine
             .sweep(
                 workloads,
-                |w| w.trace(Scale::Smoke).expect("roster profile"),
+                |w| w.trace_key(Scale::Smoke),
+                |w| w.trace(Scale::Smoke),
                 |_| predictor_sims(),
             )
+            .unwrap()
             .into_iter()
             .map(|o| o.tools.iter().map(PredictorSim::report).collect())
             .collect()
